@@ -30,7 +30,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
 _BOOL_KEYS = {"kg_only", "allow_off_grid", "allow_any_depth"}
 _INT_KEYS = {"seed", "M", "dim", "kg_layers", "prox_layers", "batch_size", "epochs",
-             "eval_every", "n_filters", "kernel"}
+             "eval_every", "n_filters", "kernel", "budget"}
 _FLOAT_KEYS = {"I", "learning_rate", "edge_drop_rate", "label_smoothing",
                "dropout_input", "dropout_feature", "dropout_hidden"}
 
@@ -205,7 +205,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
     trainer = Trainer(kg, pgraph, enc, dec, trn)
     log_path = os.path.join(out, "metrics.jsonl")
-    ckpt_path = os.path.join(out, "checkpoint.bin")
+    ckpt_path = _checkpoint_path(cfg)
     with open(log_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"provenance": provenance(cfg, enc, dec, trn)}) + "\n")
     trainer.train(log_path=log_path, checkpoint_path=ckpt_path, quiet=args.quiet)
@@ -214,8 +214,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_path(cfg) -> str:
+    return cfg.get("checkpoint_path") or os.path.join(cfg.get("out_dir", "."), "checkpoint.bin")
+
+
 def _checkpoint_setup(cfg, kg):
-    path = cfg.get("checkpoint_path") or os.path.join(cfg.get("out_dir", "."), "checkpoint.bin")
+    path = _checkpoint_path(cfg)
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     params, enc, dec = params_from_checkpoint(path)
@@ -253,9 +257,8 @@ def cmd_ntype(args) -> int:
         for row in report["ranges"]:
             fh.write(f"{row['label']}\t{row['count']}\t{row['rate']:.2f}\n")
         fh.write(f"Total\t{report['total']}\t1.0\n")
-    ckpt = cfg.get("checkpoint_path") or os.path.join(cfg.get("out_dir", "."), "checkpoint.bin")
+    ckpt = _checkpoint_path(cfg)
     if os.path.exists(ckpt):
-        cfg.setdefault("checkpoint_path", ckpt)
         params, enc, dec, prox = _checkpoint_setup(cfg, kg)
         breakdown = ntype_mrr_breakdown(params, kg, prox, enc, dec, split=split)
         _write_json(os.path.join(out, "ntype_mrr.json"),

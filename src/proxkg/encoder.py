@@ -113,30 +113,27 @@ def gr_layer(entities: Tensor, relations: Tensor, adj: RelationalAdjacency,
 class ProximityAdjacency:
     """Directed expansion of the proximity graph with pre-normalized weights.
 
+    Each undirected edge (i, j) becomes the messages j -> i and i -> j,
+    ordered by (dst, src).
+
     The per-neighborhood softmax of the accumulated proximity values is a
     fixed function of the graph, so it is computed once with numpy and
     held as a constant.
     """
 
     def __init__(self, graph: ProximityGraph):
-        src, dst, w = [], [], []
-        for i, ns in enumerate(graph.neighbors):
-            for j, weight in ns:
-                src.append(j)
-                dst.append(i)
-                w.append(weight)
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
+        i, j = graph.edges["i"].astype(np.int64), graph.edges["j"].astype(np.int64)
+        dst, src = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.lexsort((src, dst))
+        self.src = src[order]
+        self.dst = dst[order]
         self.n_entities = graph.n_entities
-        weights = np.asarray(w, dtype=np.float64)
-        if len(weights):
-            seg_max = np.full(graph.n_entities, -np.inf)
-            np.maximum.at(seg_max, self.dst, weights)
-            ex = np.exp(weights - seg_max[self.dst])
-            denom = np.bincount(self.dst, weights=ex, minlength=graph.n_entities)
-            self.alpha = ex / denom[self.dst]
-        else:
-            self.alpha = weights
+        weights = np.concatenate([graph.edges["w"], graph.edges["w"]])[order]
+        seg_max = np.full(graph.n_entities, -np.inf)
+        np.maximum.at(seg_max, self.dst, weights)
+        ex = np.exp(weights - seg_max[self.dst])
+        denom = np.bincount(self.dst, weights=ex, minlength=graph.n_entities)
+        self.alpha = ex / denom[self.dst]
 
 
 def gp_layer(entities: Tensor, prox: ProximityAdjacency, W: Tensor) -> Tensor:

@@ -10,18 +10,20 @@ an undirected weighted proximity graph.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .kgdata import ContractError, KnowledgeGraph
+from .kgdata import ContractError, DataError, KnowledgeGraph
 
 HEAD_QUERY = 0  # (?, r, t): anchor is the tail
 TAIL_QUERY = 1  # (h, r, ?): anchor is the head
 
 _MAGIC = b"PXGR"
 _VERSION = 1
+_HEADER = struct.Struct("<IQdIQ")  # version, n_entities, threshold, M, n_edges
+EDGE_DTYPE = np.dtype([("i", "<u8"), ("j", "<u8"), ("w", "<f8")])
 
 
 @dataclass
@@ -35,7 +37,6 @@ class QAPair:
 @dataclass
 class QAPairIndex:
     pairs: list[QAPair]
-    lookup: dict[tuple[int, int, int], int]
 
     def total_answers(self) -> int:
         return sum(len(p.answers) for p in self.pairs)
@@ -43,7 +44,7 @@ class QAPairIndex:
 
 @dataclass
 class SPMMatrix:
-    """Sparse accumulated proximity keyed by unordered entity pair."""
+    """Sparse accumulated proximity keyed by unordered entity pair (i, j), i < j."""
 
     entries: dict[tuple[int, int], float]
     M: int
@@ -54,25 +55,24 @@ class SPMMatrix:
 
 @dataclass
 class ProximityGraph:
-    """Symmetric weighted adjacency; neighbor lists sorted by entity id."""
+    """Undirected weighted graph holding each edge once.
+
+    ``edges`` is an EDGE_DTYPE array of (i, j, w) records with i < j,
+    sorted by (i, j); its bytes are the on-disk record block.
+    """
 
     n_entities: int
     threshold: float
     M: int
-    neighbors: list[list[tuple[int, float]]] = field(default_factory=list)
+    edges: np.ndarray
 
     @property
     def n_edges(self) -> int:
-        return sum(len(ns) for ns in self.neighbors) // 2
+        return len(self.edges)
 
     def edge_list(self) -> np.ndarray:
-        """Unique undirected edges as a structured (i, j, w) float array, i < j."""
-        rows = []
-        for i, ns in enumerate(self.neighbors):
-            for j, w in ns:
-                if i < j:
-                    rows.append((i, j, w))
-        return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+        """Unique undirected edges as an (n_edges, 3) float array of (i, j, w) rows, i < j."""
+        return np.column_stack([self.edges["i"], self.edges["j"], self.edges["w"]])
 
 
 def extract_qa_pairs(kg: KnowledgeGraph) -> QAPairIndex:
@@ -89,15 +89,11 @@ def extract_qa_pairs(kg: KnowledgeGraph) -> QAPairIndex:
         tail_answers.setdefault((int(h), int(r)), set()).add(int(t))
         head_answers.setdefault((int(t), int(r)), set()).add(int(h))
 
-    pairs: list[QAPair] = []
-    lookup: dict[tuple[int, int, int], int] = {}
-    for (anchor, rel), answers in tail_answers.items():
-        lookup[(TAIL_QUERY, anchor, rel)] = len(pairs)
-        pairs.append(QAPair(TAIL_QUERY, anchor, rel, frozenset(answers)))
-    for (anchor, rel), answers in head_answers.items():
-        lookup[(HEAD_QUERY, anchor, rel)] = len(pairs)
-        pairs.append(QAPair(HEAD_QUERY, anchor, rel, frozenset(answers)))
-    return QAPairIndex(pairs, lookup)
+    pairs = [QAPair(TAIL_QUERY, anchor, rel, frozenset(answers))
+             for (anchor, rel), answers in tail_answers.items()]
+    pairs += [QAPair(HEAD_QUERY, anchor, rel, frozenset(answers))
+              for (anchor, rel), answers in head_answers.items()]
+    return QAPairIndex(pairs)
 
 
 def pm(M: int, answer_set_size: int) -> float:
@@ -137,32 +133,33 @@ def build_proximity_graph(spm: SPMMatrix, threshold: float, n_entities: int) -> 
     """Connect an undirected edge wherever the accumulated value strictly exceeds the threshold."""
     if threshold < 0:
         raise ContractError(f"threshold must be non-negative, got {threshold}")
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n_entities)]
-    for (i, j), w in spm.entries.items():
-        if w > threshold:
-            neighbors[i].append((j, w))
-            neighbors[j].append((i, w))
-    for ns in neighbors:
-        ns.sort()
-    return ProximityGraph(n_entities, threshold, spm.M, neighbors)
+    n = len(spm.entries)
+    pairs = np.fromiter(spm.entries, dtype=np.dtype((np.uint64, 2)), count=n)
+    weights = np.fromiter(spm.entries.values(), dtype=np.float64, count=n)
+    keep = weights > threshold
+    i, j, w = pairs[keep, 0], pairs[keep, 1], weights[keep]
+    order = np.lexsort((j, i))
+    edges = np.empty(len(order), EDGE_DTYPE)
+    edges["i"], edges["j"], edges["w"] = i[order], j[order], w[order]
+    return ProximityGraph(n_entities, threshold, spm.M, edges)
 
 
 def proximity_stats(graph: ProximityGraph) -> dict:
-    degrees = np.asarray([len(ns) for ns in graph.neighbors], dtype=np.int64)
-    weights = np.asarray([w for ns in graph.neighbors for _, w in ns], dtype=np.float64)
-    hist: dict[int, int] = {}
-    for d in degrees:
-        hist[int(d)] = hist.get(int(d), 0) + 1
+    endpoints = np.concatenate([graph.edges["i"], graph.edges["j"]]).astype(np.int64)
+    degrees = np.bincount(endpoints, minlength=graph.n_entities)
+    values, counts = np.unique(degrees, return_counts=True)
     stats = {
         "n_entities": graph.n_entities,
         "n_edges": graph.n_edges,
         "threshold": graph.threshold,
         "M": graph.M,
         "isolated_entities": int((degrees == 0).sum()),
-        "degree_histogram": {str(k): v for k, v in sorted(hist.items())},
+        "degree_histogram": {str(k): v for k, v in zip(values.tolist(), counts.tolist())},
     }
-    if weights.size:
-        qs = np.quantile(weights, [0.0, 0.25, 0.5, 0.75, 1.0])
+    if graph.n_edges:
+        # each weight once per endpoint, as the entities' neighbourhoods see it
+        w = graph.edges["w"]
+        qs = np.quantile(np.concatenate([w, w]), [0.0, 0.25, 0.5, 0.75, 1.0])
         stats["weight_quantiles"] = {"min": qs[0], "q25": qs[1], "median": qs[2], "q75": qs[3], "max": qs[4]}
     else:
         stats["weight_quantiles"] = None
@@ -171,12 +168,10 @@ def proximity_stats(graph: ProximityGraph) -> dict:
 
 def save_proximity_graph(graph: ProximityGraph, path) -> None:
     """Versioned binary: header then (i, j, weight) records sorted by (i, j)."""
-    edges = graph.edge_list()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IQdIQ", _VERSION, graph.n_entities, graph.threshold, graph.M, len(edges)))
-        for i, j, w in edges[np.lexsort((edges[:, 1], edges[:, 0]))] if len(edges) else []:
-            fh.write(struct.pack("<QQd", int(i), int(j), float(w)))
+        fh.write(_HEADER.pack(_VERSION, graph.n_entities, graph.threshold, graph.M, graph.n_edges))
+        fh.write(graph.edges.tobytes())
 
 
 def load_proximity_graph(path) -> ProximityGraph:
@@ -184,20 +179,22 @@ def load_proximity_graph(path) -> ProximityGraph:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ContractError(f"not a proximity-graph file: bad magic {magic!r}")
-        version, n_entities, threshold, M, n_edges = struct.unpack("<IQdIQ", fh.read(32))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise DataError(f"truncated proximity-graph header in {path}")
+        version, n_entities, threshold, M, n_edges = _HEADER.unpack(header)
         if version != _VERSION:
             raise ContractError(f"unsupported proximity-graph version {version}")
-        neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n_entities)]
-        for _ in range(n_edges):
-            i, j, w = struct.unpack("<QQd", fh.read(24))
-            neighbors[i].append((j, w))
-            neighbors[j].append((i, w))
-    for ns in neighbors:
-        ns.sort()
-    return ProximityGraph(n_entities, threshold, M, neighbors)
+        payload = fh.read()
+    if len(payload) != n_edges * EDGE_DTYPE.itemsize:
+        raise DataError(f"proximity-graph file {path} declares {n_edges} edges "
+                        f"but holds {len(payload)} record bytes")
+    edges = np.frombuffer(payload, dtype=EDGE_DTYPE)
+    if n_edges and max(edges["i"].max(), edges["j"].max()) >= n_entities:
+        raise DataError(f"proximity-graph file {path} has an entity id >= {n_entities}")
+    return ProximityGraph(n_entities, threshold, M, edges)
 
 
 def export_proximity_tsv(graph: ProximityGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, w in graph.edge_list():
-            fh.write(f"{int(i)}\t{int(j)}\t{float(w)!r}\n")
+        fh.writelines(f"{i}\t{j}\t{w!r}\n" for i, j, w in graph.edges.tolist())

@@ -212,9 +212,7 @@ def test_criterion_6_encoder_identities():
     # ablation flag: output invariant to arbitrary proximity perturbations
     config.kg_only = True
     E1, _ = encode(params, adj, ProximityAdjacency(pgraph), config)
-    for ns in pgraph.neighbors:
-        for k in range(len(ns)):
-            ns[k] = (ns[k][0], ns[k][1] * 3.0 + 2.0)
+    pgraph.edges["w"] = pgraph.edges["w"] * 3.0 + 2.0
     E2, _ = encode(params, adj, ProximityAdjacency(pgraph), config)
     E3, _ = encode(params, adj, None, config)
     assert np.array_equal(E1.data, E2.data)

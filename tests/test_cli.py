@@ -148,3 +148,46 @@ def test_cli_off_grid_rejected_without_flag(tmp_path, dataset_dir):
     args = ["train", "--quiet", "--set", f"out_dir={out}", "--set", "dim=8",
             "--set", "batch_size=7", "--set", "epochs=1"]
     assert run(args) == EXIT_CONFIG
+
+
+TINY_TRAIN = ["--quiet", "--set", "M=4", "--set", "I=0.0", "--set", "dim=8",
+              "--set", "n_filters=4", "--set", "kernel=2", "--set", "batch_size=16",
+              "--set", "epochs=1", "--set", "allow_off_grid=true"]
+
+
+@pytest.fixture
+def built_dir(tmp_path, dataset_dir):
+    """An out_dir holding kg.npz and a proximity graph built with M=4, I=0.0."""
+    out = tmp_path / "out"
+    assert run(["ingest",
+                "--set", f"train_path={dataset_dir}/train.txt",
+                "--set", f"valid_path={dataset_dir}/valid.txt",
+                "--set", f"test_path={dataset_dir}/test.txt",
+                "--set", f"out_dir={out}"]) == EXIT_OK
+    assert run(["build-proximity", "--set", f"out_dir={out}",
+                "--set", "M=4", "--set", "I=0.0"]) == EXIT_OK
+    return out
+
+
+def test_cli_grid_budget_limits_trials(built_dir, capsys):
+    capsys.readouterr()
+    args = ["grid", "--set", f"out_dir={built_dir}", "--set", "grid.seed=1,2",
+            "--set", "budget=1"] + TINY_TRAIN
+    assert run(args) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary == {"n_trials": 1, "complete": False}
+
+
+def test_cli_train_writes_configured_checkpoint_path(tmp_path, built_dir):
+    ckpt = tmp_path / "elsewhere.bin"
+    args = ["--set", f"out_dir={built_dir}", "--set", f"checkpoint_path={ckpt}"] + TINY_TRAIN
+    assert run(["train"] + args) == EXIT_OK
+    assert ckpt.exists()
+    assert not (built_dir / "checkpoint.bin").exists()
+    assert run(["evaluate"] + args) == EXIT_OK
+
+
+def test_cli_truncated_proximity_graph_is_data_error(built_dir):
+    path = built_dir / "proximity_graph.bin"
+    path.write_bytes(path.read_bytes()[:-1])
+    assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA

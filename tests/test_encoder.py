@@ -7,7 +7,8 @@ from proxkg.encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacen
                             compose, encode, gp_layer, gr_layer, init_encoder_params,
                             relational_weights, relation_mlp)
 from proxkg.kgdata import ContractError, augment_inverse
-from proxkg.proximity import (accumulate_spm, build_proximity_graph, extract_qa_pairs)
+from proxkg.proximity import (SPMMatrix, accumulate_spm, build_proximity_graph,
+                              extract_qa_pairs)
 from proxkg.synth import random_kg
 from conftest import kg_from_triples
 
@@ -48,9 +49,18 @@ def naive_gr_layer(E, R, edges, mode, scheme, W, params, n_entities):
     return new
 
 
+def naive_neighbors(graph):
+    """Per-entity (j, w) lists sorted by j, built from the unique edge list."""
+    neighbors = [[] for _ in range(graph.n_entities)]
+    for i, j, w in graph.edge_list():
+        neighbors[int(i)].append((int(j), w))
+        neighbors[int(j)].append((int(i), w))
+    return [sorted(ns) for ns in neighbors]
+
+
 def naive_gp_layer(E, graph, W):
     new = E.copy()
-    for i, ns in enumerate(graph.neighbors):
+    for i, ns in enumerate(naive_neighbors(graph)):
         if not ns:
             continue
         weights = np.array([w for _, w in ns])
@@ -145,8 +155,7 @@ def test_gp_layer_zero_transform_identity(rng):
 
 def test_gp_layer_equal_neighbors(rng):
     # node 0 has two neighbors with equal weight and equal embeddings v
-    from proxkg.proximity import ProximityGraph
-    graph = ProximityGraph(3, 0.0, 4, [[(1, 2.0), (2, 2.0)], [(0, 2.0)], [(0, 2.0)]])
+    graph = build_proximity_graph(SPMMatrix({(0, 1): 2.0, (0, 2): 2.0}, 4), 0.0, 3)
     v = rng.uniform(-1, 1, 4)
     E = np.stack([rng.uniform(-1, 1, 4), v, v])
     W = rng.uniform(-1, 1, (4, 4))
@@ -202,9 +211,7 @@ def test_ablation_ignores_proximity_graph(rng):
     config.kg_only = True
     E1, R1 = encode(params, adj, ProximityAdjacency(pgraph), config)
     # perturb the proximity weights arbitrarily
-    for ns in pgraph.neighbors:
-        for k in range(len(ns)):
-            ns[k] = (ns[k][0], ns[k][1] * 7.5 + 1.0)
+    pgraph.edges["w"] = pgraph.edges["w"] * 7.5 + 1.0
     E2, R2 = encode(params, adj, ProximityAdjacency(pgraph), config)
     assert np.array_equal(E1.data, E2.data)
     assert np.array_equal(R1.data, R2.data)
@@ -224,11 +231,9 @@ def test_encode_entity_permutation_equivariance(rng):
     triples_p[:, 0] = perm[triples_p[:, 0]]
     triples_p[:, 2] = perm[triples_p[:, 2]]
     adj_p = RelationalAdjacency(triples_p, None, kg.n_entities)
-    from proxkg.proximity import ProximityGraph
-    neighbors_p = [[] for _ in range(kg.n_entities)]
-    for i, ns in enumerate(pgraph.neighbors):
-        neighbors_p[perm[i]] = sorted((int(perm[j]), w) for j, w in ns)
-    pgraph_p = ProximityGraph(kg.n_entities, pgraph.threshold, pgraph.M, neighbors_p)
+    spm_p = SPMMatrix({(min(perm[i], perm[j]), max(perm[i], perm[j])): w
+                       for i, j, w in pgraph.edges.tolist()}, pgraph.M)
+    pgraph_p = build_proximity_graph(spm_p, pgraph.threshold, kg.n_entities)
     E_enc_p, _ = encode(params_p, adj_p, ProximityAdjacency(pgraph_p), config)
     assert np.max(np.abs(E_enc_p.data[perm] - E_enc.data)) < 1e-10
 
@@ -236,7 +241,6 @@ def test_encode_entity_permutation_equivariance(rng):
 def test_encode_vocabulary_mismatch(rng):
     kg, config, params, pgraph, adj = toy_setup(rng)
     pgraph.n_entities = kg.n_entities + 1
-    pgraph.neighbors.append([])
     with pytest.raises(ContractError):
         encode(params, adj, ProximityAdjacency(pgraph), config)
 

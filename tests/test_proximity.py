@@ -1,3 +1,4 @@
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxkg.kgdata import ContractError
+from proxkg.kgdata import ContractError, DataError
 from proxkg.proximity import (HEAD_QUERY, TAIL_QUERY, QAPair, QAPairIndex,
                               SPMMatrix, accumulate_spm, build_proximity_graph,
                               export_proximity_tsv, extract_qa_pairs,
@@ -32,10 +33,11 @@ def test_extract_qa_pairs_toy():
     kg = kg_from_triples([("a", "r", "b"), ("a", "r", "c")])
     e = kg.entities.lookup
     index = extract_qa_pairs(kg)
-    tail = index.pairs[index.lookup[(TAIL_QUERY, e("a"), 0)]]
+    by_query = {(p.direction, p.anchor, p.relation): p for p in index.pairs}
+    tail = by_query[(TAIL_QUERY, e("a"), 0)]
     assert tail.answers == frozenset({e("b"), e("c")})
-    assert index.pairs[index.lookup[(HEAD_QUERY, e("b"), 0)]].answers == {e("a")}
-    assert index.pairs[index.lookup[(HEAD_QUERY, e("c"), 0)]].answers == {e("a")}
+    assert by_query[(HEAD_QUERY, e("b"), 0)].answers == {e("a")}
+    assert by_query[(HEAD_QUERY, e("c"), 0)].answers == {e("a")}
     assert len(index.pairs) == 3
 
 
@@ -64,7 +66,7 @@ def test_pm_rejects_bad_cutoff():
     with pytest.raises(ContractError):
         pm(2, 5)
     with pytest.raises(ContractError):
-        accumulate_spm(QAPairIndex([], {}), 2)
+        accumulate_spm(QAPairIndex([]), 2)
 
 
 @given(M=st.integers(3, 1000), size=st.integers(2, 2000))
@@ -79,7 +81,7 @@ def test_accumulate_spm_worked_example():
     # q1 -> {a, b}, q2 -> {a, b, c}, M=4: ab = 1 + 0.5, ac = bc = 0.5
     pairs = [QAPair(TAIL_QUERY, 10, 0, frozenset({0, 1})),
              QAPair(TAIL_QUERY, 11, 0, frozenset({0, 1, 2}))]
-    index = QAPairIndex(pairs, {})
+    index = QAPairIndex(pairs)
     spm = accumulate_spm(index, 4)
     assert spm.get(0, 1) == pytest.approx(1.5)
     assert spm.get(0, 2) == pytest.approx(0.5)
@@ -88,12 +90,12 @@ def test_accumulate_spm_worked_example():
 
 
 def test_accumulate_spm_singleton_empty():
-    index = QAPairIndex([QAPair(TAIL_QUERY, 0, 0, frozenset({1}))], {})
+    index = QAPairIndex([QAPair(TAIL_QUERY, 0, 0, frozenset({1}))])
     assert accumulate_spm(index, 4).entries == {}
 
 
 def test_accumulate_spm_skips_large_sets():
-    index = QAPairIndex([QAPair(TAIL_QUERY, 0, 0, frozenset(range(10)))], {})
+    index = QAPairIndex([QAPair(TAIL_QUERY, 0, 0, frozenset(range(10)))])
     assert accumulate_spm(index, 5).entries == {}
 
 
@@ -117,9 +119,7 @@ def test_build_graph_threshold_strict():
     spm = SPMMatrix({(0, 1): 1.5, (0, 2): 0.5}, M=4)
     graph = build_proximity_graph(spm, 1.0, 3)
     assert graph.n_edges == 1
-    assert graph.neighbors[0] == [(1, 1.5)]
-    assert graph.neighbors[1] == [(0, 1.5)]
-    assert graph.neighbors[2] == []
+    assert graph.edges.tolist() == [(0, 1, 1.5)]
     # boundary: equality does not connect
     assert build_proximity_graph(SPMMatrix({(0, 1): 0.5}, 4), 0.5, 2).n_edges == 0
 
@@ -164,7 +164,8 @@ def test_graph_serialization_round_trip(tmp_path, rng):
     assert back.n_entities == graph.n_entities
     assert back.threshold == graph.threshold
     assert back.M == graph.M
-    assert back.neighbors == graph.neighbors
+    assert back.edges.dtype == graph.edges.dtype
+    assert np.array_equal(back.edges, graph.edges)
     # identical inputs give bit-identical serializations
     path2 = tmp_path / "graph2.bin"
     save_proximity_graph(graph, path2)
@@ -172,8 +173,63 @@ def test_graph_serialization_round_trip(tmp_path, rng):
 
 
 def test_graph_tsv_export(tmp_path):
-    spm = SPMMatrix({(0, 1): 1.5}, M=4)
-    graph = build_proximity_graph(spm, 1.0, 2)
+    spm = SPMMatrix({(1, 2): 2.25, (0, 1): 1.5}, M=4)
+    graph = build_proximity_graph(spm, 1.0, 3)
     path = tmp_path / "graph.tsv"
     export_proximity_tsv(graph, path)
-    assert path.read_text() == "0\t1\t1.5\n"
+    assert path.read_text() == "0\t1\t1.5\n1\t2\t2.25\n"
+
+
+def test_graph_bytes_match_independent_encoding(tmp_path, rng):
+    """The file is a '<IQdIQ' header and '<QQd' records sorted by (i, j), one per edge."""
+    kg = random_kg(rng, 30, 3, 200)
+    spm = accumulate_spm(extract_qa_pairs(kg), 10)
+    graph = build_proximity_graph(spm, 0.5, kg.n_entities)
+    rows = sorted((i, j, w) for (i, j), w in spm.entries.items() if w > 0.5)
+    assert rows
+    want = b"PXGR" + struct.pack("<IQdIQ", 1, kg.n_entities, 0.5, 10, len(rows))
+    want += b"".join(struct.pack("<QQd", i, j, w) for i, j, w in rows)
+    path = tmp_path / "graph.bin"
+    save_proximity_graph(graph, path)
+    assert path.read_bytes() == want
+    assert load_proximity_graph(path).edge_list().tolist() == [list(map(float, r)) for r in rows]
+
+
+def test_proximity_stats_weight_quantiles(rng):
+    kg = random_kg(rng, 30, 3, 200)
+    spm = accumulate_spm(extract_qa_pairs(kg), 10)
+    graph = build_proximity_graph(spm, 0.5, kg.n_entities)
+    # every edge weight counted once from each endpoint's neighbourhood
+    per_endpoint = [w for (i, j), w in spm.entries.items() if w > 0.5 for _ in (i, j)]
+    qs = np.quantile(per_endpoint, [0.0, 0.25, 0.5, 0.75, 1.0])
+    got = proximity_stats(graph)["weight_quantiles"]
+    assert [got[k] for k in ("min", "q25", "median", "q75", "max")] == qs.tolist()
+
+
+def _saved_graph(tmp_path):
+    graph = build_proximity_graph(SPMMatrix({(0, 1): 1.5, (1, 2): 2.0}, M=4), 1.0, 3)
+    path = tmp_path / "graph.bin"
+    save_proximity_graph(graph, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [1, 24, 60])  # last record partly, one record, into the header
+def test_load_rejects_truncated_file(tmp_path, cut):
+    path, data = _saved_graph(tmp_path)
+    path.write_bytes(data[:-cut])
+    with pytest.raises(DataError):
+        load_proximity_graph(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path, data = _saved_graph(tmp_path)
+    path.write_bytes(data + b"\0" * 24)
+    with pytest.raises(DataError):
+        load_proximity_graph(path)
+
+
+def test_load_rejects_out_of_range_entity(tmp_path):
+    path, data = _saved_graph(tmp_path)
+    path.write_bytes(data[:-24] + struct.pack("<QQd", 1, 3, 2.0))
+    with pytest.raises(DataError):
+        load_proximity_graph(path)
