@@ -284,19 +284,56 @@ def dropout(a: Tensor, rate: float, seed: int, layer_id: int, step: int, trainin
     return _make(out, (a,), bw)
 
 
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Row lookup; backward scatter-adds into duplicate ids."""
+def _scatter_rows(ids, rows, n):
+    """Sum rows[k] into row ids[k] of an [n, ...] zero table, in index order.
+
+    One bincount over the flat (id * width + column) positions. bincount
+    adds its weights in input order starting from 0.0, so the result is
+    bit-identical to ``np.add.at`` on a zero table.
+    """
+    width = int(np.prod(rows.shape[1:]))
+    flat = (ids * width)[:, None] + np.arange(width)
+    out = np.bincount(flat.ravel(), weights=rows.reshape(len(ids), width).ravel(),
+                      minlength=n * width)
+    return out.astype(DEFAULT_DTYPE, copy=False).reshape((n,) + rows.shape[1:])
+
+
+def _row_ids(ids, table: Tensor) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError("gather_rows id out of range")
+        raise IndexError("row id out of range")
+    return ids
+
+
+def gather_rows(table: Tensor, ids) -> Tensor:
+    """Row lookup; backward scatter-adds into duplicate ids."""
+    ids = _row_ids(ids, table)
     out = table.data[ids]
 
     def bw(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, ids, g)
-        return [(table, acc)]
+        return [(table, _scatter_rows(ids, g, table.data.shape[0]))]
 
     return _make(out, (table,), bw)
+
+
+def gather_dot(table: Tensor, ids, other: Tensor) -> Tensor:
+    """Row-wise dot of gathered rows with aligned rows: out[k] = <table[ids[k]], other[k]>.
+
+    Does the work of gather_rows -> mul -> tsum(axis=1) but holds only the
+    gathered rows for the backward pass, not three [k, d] graph nodes.
+    """
+    ids = _row_ids(ids, table)
+    if table.data.ndim != 2 or other.data.shape != (len(ids), table.data.shape[1]):
+        raise ValueError("gather_dot expects a 2-d table and one aligned row per id")
+    rows = table.data[ids]
+    out = np.einsum("ij,ij->i", rows, other.data)
+
+    def bw(g):
+        g_col = g[:, None]
+        return [(table, _scatter_rows(ids, g_col * other.data, table.data.shape[0])),
+                (other, g_col * rows)]
+
+    return _make(out, (table, other), bw)
 
 
 def segment_weighted_sum(values: Tensor, weights: Tensor, segments, num_segments: int) -> Tensor:
@@ -306,16 +343,12 @@ def segment_weighted_sum(values: Tensor, weights: Tensor, segments, num_segments
         raise ValueError("values, weights and segments must align on the first axis")
     if segments.size and segments.max() >= num_segments:
         raise IndexError("segment id out of range")
-    weighted = values.data * weights.data[:, None]
-    out = np.zeros((num_segments, values.data.shape[1]), dtype=DEFAULT_DTYPE)
-    np.add.at(out, segments, weighted)
+    out = _scatter_rows(segments, values.data * weights.data[:, None], num_segments)
 
     def bw(g):
         g_rows = g[segments]
-        return [
-            (values, g_rows * weights.data[:, None]),
-            (weights, (g_rows * values.data).sum(axis=1)),
-        ]
+        g_weights = np.einsum("ij,ij->i", g_rows, values.data) if _needs_grad(weights) else None
+        return [(values, g_rows * weights.data[:, None]), (weights, g_weights)]
 
     return _make(out, (values, weights), bw)
 

@@ -203,9 +203,11 @@ def cmd_train(args) -> int:
     enc, dec, trn = make_configs(cfg)
     pgraph, _ = _load_pgraph(cfg, kg, enc)
     out = _out_dir(cfg)
+    ckpt_path = _checkpoint_path(cfg)
+    if not os.path.isdir(os.path.dirname(ckpt_path) or "."):
+        raise DataError(f"checkpoint directory does not exist: {ckpt_path}")
     trainer = Trainer(kg, pgraph, enc, dec, trn)
     log_path = os.path.join(out, "metrics.jsonl")
-    ckpt_path = _checkpoint_path(cfg)
     with open(log_path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"provenance": provenance(cfg, enc, dec, trn)}) + "\n")
     trainer.train(log_path=log_path, checkpoint_path=ckpt_path, quiet=args.quiet)

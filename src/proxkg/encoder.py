@@ -93,8 +93,7 @@ def relational_weights(adj: RelationalAdjacency, e_current: Tensor, phi: Tensor,
     if scheme == "gcn":
         return Tensor(1.0 / np.sqrt(np.maximum(adj.in_deg[adj.dst], 1.0) * np.maximum(adj.out_deg[adj.src], 1.0)))
     if scheme == "attention":
-        e_dst = ad.gather_rows(e_current, adj.dst)
-        scores = ad.tsum(ad.mul(e_dst, phi), axis=1)
+        scores = ad.gather_dot(e_current, adj.dst, phi)
         return ad.segment_softmax(scores, adj.dst, adj.n_entities)
     raise ContractError(f"unknown weight scheme {scheme!r}")
 

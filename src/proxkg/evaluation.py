@@ -85,9 +85,8 @@ def score_all_queries(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency
                       queries: list[tuple[int, int]], batch_size: int = 512) -> np.ndarray:
     """Probability matrix [len(queries), n_e] under the full (undropped) graph."""
     adj = RelationalAdjacency(kg.train, None, kg.n_entities)
-    E_enc, R_enc = encode(params, adj, prox, encoder_config)
-    E_const = Tensor(E_enc.data)
-    R_const = Tensor(R_enc.data)
+    # constants only: the encoder graph is freed before the batch loop
+    E_const, R_const = (Tensor(t.data) for t in encode(params, adj, prox, encoder_config))
     out = np.empty((len(queries), kg.n_entities))
     anchors = np.asarray([q[0] for q in queries], dtype=np.int64)
     rels = np.asarray([q[1] for q in queries], dtype=np.int64)

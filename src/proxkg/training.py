@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .decoder import DecoderConfig, bce_loss, conve_score, init_decoder_params
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
                       encode, init_encoder_params)
-from .kgdata import ContractError, KnowledgeGraph, sample_edge_dropout
+from .kgdata import ContractError, DataError, KnowledgeGraph, sample_edge_dropout
 from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph,
                         extract_qa_pairs)
 
@@ -37,6 +37,7 @@ GRID_I = (0.5, 1.0, 3.0, 5.0)
 
 _CKPT_MAGIC = b"PKCK"
 _CKPT_VERSION = 1
+_CKPT_HEAD = struct.Struct("<IQ")    # version, JSON header length
 
 
 class NumericError(Exception):
@@ -197,27 +198,40 @@ def save_checkpoint(path, params: dict, optimizer, encoder_config, decoder_confi
     raw = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<IQ", _CKPT_VERSION, len(raw)))
+        fh.write(_CKPT_HEAD.pack(_CKPT_VERSION, len(raw)))
         fh.write(raw)
         for spec in header["blobs"]:
             fh.write(np.ascontiguousarray(blobs[spec["name"]], dtype=np.float64).tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns (header, blobs)."""
+    """Returns (header, blobs). A file cut short or otherwise damaged is a DataError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise ContractError("not a checkpoint file")
-        version, hlen = struct.unpack("<IQ", fh.read(12))
+        head = fh.read(_CKPT_HEAD.size)
+        if len(head) != _CKPT_HEAD.size:
+            raise DataError(f"truncated checkpoint header in {path}")
+        version, hlen = _CKPT_HEAD.unpack(head)
         if version != _CKPT_VERSION:
             raise ContractError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode())
+        raw = fh.read(hlen)
+        if len(raw) != hlen:
+            raise DataError(f"truncated checkpoint header in {path}")
+        try:
+            header = json.loads(raw.decode())
+        except ValueError as exc:
+            raise DataError(f"damaged checkpoint header in {path}: {exc}") from None
         blobs = {}
         for spec in header["blobs"]:
             shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            blobs[spec["name"]] = np.frombuffer(
-                fh.read(count * 8), dtype=np.float64).reshape(shape).copy()
+            nbytes = 8 * int(np.prod(shape))
+            data = fh.read(nbytes)
+            if len(data) != nbytes:
+                raise DataError(f"truncated checkpoint blob {spec['name']!r} in {path}")
+            blobs[spec["name"]] = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
+        if fh.read(1):
+            raise DataError(f"trailing bytes after the last checkpoint blob in {path}")
     return header, blobs
 
 

@@ -126,6 +126,8 @@ def test_criterion_4_gradient_suite():
         check_gradient(op, [A])
     check_gradient(ad.relu, [np.where(np.abs(A) < 1e-3, 0.5, A)])
     check_gradient(lambda t: ad.gather_rows(t, [0, 2, 2, 1]), [A])
+    check_gradient(lambda t, o: ad.mul(ad.gather_dot(t, [2, 0, 2], o), Tensor(np.arange(1.0, 4.0))),
+                   [A, B])
     check_gradient(lambda v, w: ad.segment_weighted_sum(v, w, [0, 1, 1], 2),
                    [A, rng.uniform(-1, 1, 3)])
     check_gradient(lambda s: ad.mul(ad.segment_softmax(s, [0, 0, 1], 2),

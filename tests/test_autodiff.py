@@ -112,6 +112,74 @@ def test_gather_rows_gradient(rng):
     check_gradient(lambda t: ad.gather_rows(t, ids), [table])
 
 
+@pytest.mark.parametrize("n, ids, trailing", [
+    (4, [3, 0, 3, 1, 0, 3], (5,)),      # duplicate and unsorted ids
+    (4, [], (5,)),                      # no ids: a zero table
+    (1, [0, 0, 0], (3,)),               # single-row table
+    (3, [2, 0, 2, 1], (2, 3)),          # 3-d rows
+])
+def test_scatter_rows_matches_add_at(rng, n, ids, trailing):
+    ids = np.asarray(ids, dtype=np.int64)
+    magnitude = 10.0 ** rng.integers(-8, 8, len(ids))       # so that summation order shows
+    rows = rng.uniform(-1, 1, (len(ids),) + trailing) * magnitude.reshape((-1,) + (1,) * len(trailing))
+    want = np.zeros((n,) + trailing)
+    np.add.at(want, ids, rows)
+    got = ad._scatter_rows(ids, rows, n)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_gather_dot_values(rng):
+    table = rng.uniform(-1, 1, (4, 3))
+    other = rng.uniform(-1, 1, (5, 3))
+    ids = [3, 0, 3, 1, 2]
+    out = ad.gather_dot(Tensor(table), ids, Tensor(other))
+    assert np.allclose(out.data, (table[ids] * other).sum(axis=1), rtol=1e-15, atol=1e-15)
+
+
+def test_gather_dot_gradient(rng):
+    table = rng.uniform(-1, 1, (4, 3))
+    other = rng.uniform(-1, 1, (5, 3))
+    ids = [3, 0, 3, 1, 3]
+
+    def build(t, o):
+        return ad.mul(ad.gather_dot(t, ids, o), Tensor(np.arange(1.0, 6.0)))  # break symmetry
+
+    check_gradient(build, [table, other])
+
+
+def test_gather_dot_out_of_range():
+    with pytest.raises(IndexError):
+        ad.gather_dot(Tensor(np.ones((2, 2))), [2], Tensor(np.ones((1, 2))))
+    with pytest.raises(IndexError):
+        ad.gather_dot(Tensor(np.ones((2, 2))), [-1], Tensor(np.ones((1, 2))))
+
+
+def test_gather_dot_empty(rng):
+    table = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    other = Tensor(np.zeros((0, 3)), requires_grad=True)
+    out = ad.gather_dot(table, [], other)
+    assert out.shape == (0,)
+    ad.add(ad.tsum(out), ad.tsum(table)).backward()
+    assert np.array_equal(table.grad, np.ones((4, 3)))
+
+
+def test_segment_weighted_sum_constant_weights(rng):
+    values = rng.uniform(-1, 1, (6, 3))
+    weights = rng.uniform(-1, 1, 6)
+    segs = np.array([2, 0, 2, 1, 0, 2])
+    g = rng.uniform(-1, 1, (3, 3))
+    const = ad.segment_weighted_sum(Tensor(values, requires_grad=True), Tensor(weights), segs, 3)
+    (_, v_grad), (_, w_grad) = const._backward(g)
+    assert np.array_equal(v_grad, g[segs] * weights[:, None])
+    assert w_grad is None
+    live = ad.segment_weighted_sum(Tensor(values, requires_grad=True),
+                                   Tensor(weights, requires_grad=True), segs, 3)
+    (_, v_grad_live), (_, w_grad_live) = live._backward(g)
+    assert np.array_equal(v_grad, v_grad_live)
+    assert np.allclose(w_grad_live, (g[segs] * values).sum(axis=1), rtol=1e-15, atol=1e-15)
+
+
 def test_segment_weighted_sum_convex(rng):
     v = rng.uniform(-1, 1, 3)
     values = Tensor(np.stack([v, v]))

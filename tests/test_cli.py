@@ -191,3 +191,22 @@ def test_cli_truncated_proximity_graph_is_data_error(built_dir):
     path = built_dir / "proximity_graph.bin"
     path.write_bytes(path.read_bytes()[:-1])
     assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA
+
+
+def test_cli_truncated_checkpoint_is_data_error(built_dir):
+    args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
+    assert run(["train"] + args) == EXIT_OK
+    ckpt = built_dir / "checkpoint.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+    assert run(["evaluate"] + args) == EXIT_DATA
+
+
+def test_cli_train_rejects_missing_checkpoint_directory(tmp_path, built_dir, capsys):
+    ckpt = tmp_path / "nodir" / "ck.bin"
+    args = ["--set", f"out_dir={built_dir}", "--set", f"checkpoint_path={ckpt}"] + TINY_TRAIN
+    capsys.readouterr()
+    assert run(["train"] + args) == EXIT_DATA
+    assert str(ckpt) in capsys.readouterr().err
+    log = built_dir / "metrics.jsonl"
+    records = [json.loads(line) for line in log.read_text().splitlines()] if log.exists() else []
+    assert not any("epoch" in rec for rec in records)

@@ -4,7 +4,7 @@ import pytest
 from proxkg.autodiff import Tensor
 from proxkg.decoder import DecoderConfig
 from proxkg.encoder import EncoderConfig
-from proxkg.kgdata import ContractError, augment_inverse
+from proxkg.kgdata import ContractError, DataError, augment_inverse
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
 from proxkg.synth import toy_kg
 from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
@@ -158,6 +158,46 @@ def test_checkpoint_header_fields(tmp_path, rng):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
+    with pytest.raises(ContractError):
+        load_checkpoint(path)
+
+
+@pytest.fixture
+def checkpoint_bytes(tmp_path):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    path = tmp_path / "ckpt.bin"
+    trainer.save(path)
+    return path.read_bytes()
+
+
+def _json_header_end(blob):
+    return 16 + int.from_bytes(blob[8:16], "little")
+
+
+@pytest.mark.parametrize("cut", [
+    lambda blob: 9,                                          # inside the 12-byte header
+    lambda blob: 16 + (_json_header_end(blob) - 16) // 2,    # inside the JSON header
+    lambda blob: _json_header_end(blob) + 12,                # inside the first blob
+    lambda blob: len(blob) - 1,                              # inside the last blob
+], ids=["header", "json", "first_blob", "last_blob"])
+def test_checkpoint_truncated_is_data_error(tmp_path, checkpoint_bytes, cut):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(checkpoint_bytes[:cut(checkpoint_bytes)])
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_is_data_error(tmp_path, checkpoint_bytes):
+    path = tmp_path / "long.bin"
+    path.write_bytes(checkpoint_bytes + b"\x00")
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_version(tmp_path, checkpoint_bytes):
+    path = tmp_path / "v9.bin"
+    path.write_bytes(checkpoint_bytes[:4] + (9).to_bytes(4, "little") + checkpoint_bytes[8:])
     with pytest.raises(ContractError):
         load_checkpoint(path)
 
