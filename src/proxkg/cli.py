@@ -23,16 +23,24 @@ from .kgdata import ContractError, DataError, augment_inverse, ingest_dataset, l
 from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_tsv,
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
-from .training import (NumericError, TrainConfig, Trainer, config_digest, grid_search,
-                       params_from_checkpoint, write_trial_table)
+from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, config_digest,
+                       grid_search, params_from_checkpoint, write_trial_table)
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
-_BOOL_KEYS = {"kg_only", "allow_off_grid", "allow_any_depth"}
-_INT_KEYS = {"seed", "M", "dim", "kg_layers", "prox_layers", "batch_size", "epochs",
-             "eval_every", "n_filters", "kernel", "budget"}
-_FLOAT_KEYS = {"I", "learning_rate", "edge_drop_rate", "label_smoothing",
-               "dropout_input", "dropout_feature", "dropout_hidden"}
+# every key some command reads, with its type; any other key is a config error
+CONFIG_KEYS = {
+    "train_path": str, "valid_path": str, "test_path": str, "out_dir": str, "kg_path": str,
+    "pgraph_path": str, "checkpoint_path": str, "eval_split": str, "seed": int, "budget": int,
+    "M": int, "I": float,
+    "dim": int, "kg_layers": int, "prox_layers": int, "composition": str, "weight_scheme": str,
+    "kg_only": bool, "allow_any_depth": bool,
+    "n_filters": int, "kernel": int, "dropout_input": float, "dropout_feature": float,
+    "dropout_hidden": float, "label_smoothing": float,
+    "batch_size": int, "learning_rate": float, "optimizer": str, "epochs": int,
+    "edge_drop_rate": float, "eval_every": int, "allow_off_grid": bool,
+}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def parse_config_file(path) -> dict:
@@ -50,21 +58,17 @@ def parse_config_file(path) -> dict:
 
 
 def coerce(key: str, raw: str):
+    if key.startswith("grid."):
+        if key[5:] not in GRID_KEYS:
+            raise ContractError(f"grid search does not vary {key[5:]!r}; "
+                                f"grid keys are {', '.join(GRID_KEYS)}")
+        return [coerce(key[5:], part) for part in raw.split(",")]
+    kind = CONFIG_KEYS.get(key)
+    if kind is None:
+        raise ContractError(f"unknown config key {key!r}")
     try:
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key.startswith("grid."):
-            return [coerce(key[5:], part) for part in raw.split(",")]
-        return raw
-    except ValueError:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
         raise ContractError(f"config key {key!r}: cannot parse value {raw!r}") from None
 
 

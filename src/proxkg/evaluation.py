@@ -5,108 +5,113 @@ the tail and (t, r_inverse, ?) against the head, over the augmented
 relation set. All other entities known to answer the query anywhere in
 train/valid/test are masked out before ranking. Equal scores are resolved
 by averaging the optimistic and pessimistic rank.
+
+Known answers are one sorted int64 array of ``kgdata.answer_keys``; cases
+are scored and ranked one ``batch_size`` block at a time, so no score
+matrix over the whole split is ever held.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
 from .decoder import DecoderConfig, conve_score
 from .encoder import EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode
-from .kgdata import ContractError, KnowledgeGraph
+from .kgdata import ContractError, KnowledgeGraph, answer_keys
 
 NTYPE_LABELS = ("N=0", "N=1", "1<N<=10", "10<N<=100", "100<N<=500", "N>500")
+NTYPE_UPPER = (0, 1, 10, 100, 500)    # inclusive upper answer count of each bounded range
 
 
-@dataclass
-class RankResult:
-    query: tuple[int, int]
-    target: int
-    rank: float
-    filtered: bool
+def _query_runs(keys: np.ndarray, cases: np.ndarray, n_relations: int,
+                n_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds [lo, hi) of each case's (anchor, relation) run in the sorted answer keys."""
+    first = answer_keys(cases, n_relations, n_entities) - cases[:, 2]
+    return np.searchsorted(keys, first), np.searchsorted(keys, first + n_entities)
 
 
-def filtered_rank(scores: np.ndarray, target: int, known_true) -> RankResult:
-    """Tie-averaged rank of the target after masking other known-true entities.
+def filtered_rank(scores: np.ndarray, cases: np.ndarray, known: np.ndarray,
+                  n_relations: int) -> np.ndarray:
+    """Tie-averaged rank of each row's target after masking its query's other known answers.
 
-    rank = (upper + lower) / 2 where upper counts strictly better scores
-    and lower additionally counts exact ties.
+    ``scores`` is a [B, n_e] block, overwritten in place; ``cases`` holds the
+    B (anchor, relation, target) rows; ``known`` is a sorted ``answer_keys``
+    array. rank = (upper + lower) / 2 where upper counts strictly better
+    scores and lower additionally counts exact ties.
     """
-    known_true = np.asarray(sorted(known_true), dtype=np.int64)
-    if target in known_true:
-        raise ContractError("target must not be in the filter set")
-    masked = scores.astype(np.float64, copy=True)
-    filtered = known_true.size > 0
-    if filtered:
-        masked[known_true] = -np.inf
-    s_t = masked[target]
-    upper = 1 + int((masked > s_t).sum())
-    ties = int((masked == s_t).sum()) - 1
-    rank = (upper + (upper + ties)) / 2.0
-    return RankResult(query=(-1, -1), target=target, rank=rank, filtered=filtered)
+    n_rows, n_e = scores.shape
+    rows = np.arange(n_rows)
+    lo, hi = _query_runs(known, cases, n_relations, n_e)
+    counts = hi - lo
+    # positions lo[b] .. hi[b]-1 of every row, concatenated
+    pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    s_t = scores[rows, cases[:, 2]]
+    scores[np.repeat(rows, counts), known[pos] % n_e] = -np.inf
+    scores[rows, cases[:, 2]] = s_t
+    upper = 1 + (scores > s_t[:, None]).sum(axis=1)
+    ties = (scores == s_t[:, None]).sum(axis=1) - 1
+    return (upper + (upper + ties)) / 2.0
 
 
-def build_filter_index(kg: KnowledgeGraph) -> dict[tuple[int, int], set[int]]:
-    """All known answers per (anchor, relation) query across every split.
-
-    Relations are in the augmented id space: (h, r) collects tails,
-    (t, r_inverse) collects heads.
-    """
+def evaluation_queries(kg: KnowledgeGraph, split: str) -> np.ndarray:
+    """[n, 3] (anchor, relation, target) cases: (h, r, t), then (t, r_inverse, h), per triple."""
     if not kg.augmented:
-        raise ContractError("filter index requires an augmented knowledge graph")
-    n_raw = kg.num_raw_relations
-    index: dict[tuple[int, int], set[int]] = {}
-    for split in ("valid", "test"):
-        for h, r, t in kg.split(split):
-            index.setdefault((int(h), int(r)), set()).add(int(t))
-            index.setdefault((int(t), int(r) + n_raw), set()).add(int(h))
-    for h, r, t in kg.train:
-        index.setdefault((int(h), int(r)), set()).add(int(t))
-        # augmented train already contains the inverse triples
-    return index
-
-
-def evaluation_queries(kg: KnowledgeGraph, split: str) -> list[tuple[int, int, int]]:
-    """(anchor, relation, target) cases; each triple yields both directions."""
-    n_raw = kg.num_raw_relations
-    cases = []
+        raise ContractError("evaluation requires an augmented knowledge graph")
     triples = kg.raw_train() if split == "train" else kg.split(split)
-    for h, r, t in triples:
-        cases.append((int(h), int(r), int(t)))
-        cases.append((int(t), int(r) + n_raw, int(h)))
-    return cases
+    inverse = np.stack([triples[:, 2], triples[:, 1] + kg.num_raw_relations, triples[:, 0]], axis=1)
+    return np.stack([triples, inverse], axis=1).reshape(-1, 3)
+
+
+def build_filter_index(kg: KnowledgeGraph) -> np.ndarray:
+    """Sorted, unique ``answer_keys`` of every known (anchor, relation, answer).
+
+    Relations are in the augmented id space: the augmented train split holds
+    both directions already; valid and test add both of theirs.
+    """
+    known = np.concatenate([kg.train, evaluation_queries(kg, "valid"),
+                            evaluation_queries(kg, "test")])
+    return np.unique(answer_keys(known, kg.n_relations, kg.n_entities))
+
+
+def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | None,
+                 encoder_config: EncoderConfig, decoder_config: DecoderConfig):
+    """Encodes once under the full (undropped) graph; returns ``score(queries)``.
+
+    ``score`` maps a [B, 2] (anchor, relation) block to its [B, n_e]
+    probabilities. Only constants are kept, so the encoder graph is freed.
+    """
+    adj = RelationalAdjacency(kg.train, None, kg.n_entities)
+    E_const, R_const = (Tensor(t.data) for t in encode(params, adj, prox, encoder_config))
+
+    def score(queries: np.ndarray) -> np.ndarray:
+        h = Tensor(E_const.data[queries[:, 0]])
+        r = Tensor(R_const.data[queries[:, 1]])
+        return conve_score(h, r, E_const, params, decoder_config, training=False).data
+
+    return score
 
 
 def score_all_queries(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | None,
                       encoder_config: EncoderConfig, decoder_config: DecoderConfig,
-                      queries: list[tuple[int, int]], batch_size: int = 512) -> np.ndarray:
-    """Probability matrix [len(queries), n_e] under the full (undropped) graph."""
-    adj = RelationalAdjacency(kg.train, None, kg.n_entities)
-    # constants only: the encoder graph is freed before the batch loop
-    E_const, R_const = (Tensor(t.data) for t in encode(params, adj, prox, encoder_config))
+                      queries, batch_size: int = 512) -> np.ndarray:
+    """Probability matrix [len(queries), n_e], scored batch_size queries at a time."""
+    queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
+    score = batch_scorer(params, kg, prox, encoder_config, decoder_config)
     out = np.empty((len(queries), kg.n_entities))
-    anchors = np.asarray([q[0] for q in queries], dtype=np.int64)
-    rels = np.asarray([q[1] for q in queries], dtype=np.int64)
     for start in range(0, len(queries), batch_size):
-        sl = slice(start, min(start + batch_size, len(queries)))
-        h = Tensor(E_const.data[anchors[sl]])
-        r = Tensor(R_const.data[rels[sl]])
-        out[sl] = conve_score(h, r, E_const, params, decoder_config, training=False).data
+        out[start:start + batch_size] = score(queries[start:start + batch_size])
     return out
 
 
 def _rank_cases(params, kg, prox, encoder_config, decoder_config, cases, batch_size=512):
-    filter_index = build_filter_index(kg)
-    queries = [(a, r) for a, r, _ in cases]
-    scores = score_all_queries(params, kg, prox, encoder_config, decoder_config,
-                               queries, batch_size)
+    known = build_filter_index(kg)
+    score = batch_scorer(params, kg, prox, encoder_config, decoder_config)
     ranks = np.empty(len(cases))
-    for i, (anchor, rel, target) in enumerate(cases):
-        known = filter_index.get((anchor, rel), set()) - {target}
-        ranks[i] = filtered_rank(scores[i], target, known).rank
+    for start in range(0, len(cases), batch_size):
+        block = cases[start:start + batch_size]
+        ranks[start:start + len(block)] = filtered_rank(score(block[:, :2]), block, known,
+                                                        kg.n_relations)
     return ranks
 
 
@@ -126,7 +131,7 @@ def evaluate(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | None,
              split: str = "valid", batch_size: int = 512) -> dict:
     """MRR / MR / Hits@{1,3,10} over both query directions of a split."""
     cases = evaluation_queries(kg, split)
-    if not cases:
+    if not len(cases):
         raise ContractError(f"split {split!r} is empty")
     ranks = _rank_cases(params, kg, prox, encoder_config, decoder_config, cases, batch_size)
     result = metrics_from_ranks(ranks)
@@ -134,46 +139,29 @@ def evaluate(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | None,
     return result
 
 
-def ntype_of(n: int) -> str:
-    if n == 0:
-        return NTYPE_LABELS[0]
-    if n == 1:
-        return NTYPE_LABELS[1]
-    if n <= 10:
-        return NTYPE_LABELS[2]
-    if n <= 100:
-        return NTYPE_LABELS[3]
-    if n <= 500:
-        return NTYPE_LABELS[4]
-    return NTYPE_LABELS[5]
+def ntype_bins(counts) -> np.ndarray:
+    """Index into NTYPE_LABELS of each answer count."""
+    return np.digitize(counts, NTYPE_UPPER, right=True)
 
 
-def train_answer_counts(kg: KnowledgeGraph) -> dict[tuple[int, int], int]:
-    """Number of raw-train answers per (anchor, augmented relation) query."""
-    n_raw = kg.num_raw_relations if kg.augmented else kg.n_relations
-    counts: dict[tuple[int, int], int] = {}
-    for h, r, t in kg.raw_train():
-        counts[(int(h), int(r))] = counts.get((int(h), int(r)), 0) + 1
-        counts[(int(t), int(r) + n_raw)] = counts.get((int(t), int(r) + n_raw), 0) + 1
-    return counts
+def train_answer_counts(kg: KnowledgeGraph, cases: np.ndarray) -> np.ndarray:
+    """Number of train triples answering each case's (anchor, relation) query."""
+    train = np.sort(answer_keys(kg.train, kg.n_relations, kg.n_entities))
+    lo, hi = _query_runs(train, cases, kg.n_relations, kg.n_entities)
+    return hi - lo
 
 
 def ntype_report(kg: KnowledgeGraph, split: str = "test") -> dict:
     """Bin both directions of every evaluation triple by its train answer count."""
-    if not kg.augmented:
-        raise ContractError("the report requires an augmented knowledge graph")
-    counts = train_answer_counts(kg)
-    bins = {label: 0 for label in NTYPE_LABELS}
-    for anchor, rel, _ in evaluation_queries(kg, split):
-        bins[ntype_of(counts.get((anchor, rel), 0))] += 1
-    total = sum(bins.values())
+    cases = evaluation_queries(kg, split)
+    bins = np.bincount(ntype_bins(train_answer_counts(kg, cases)), minlength=len(NTYPE_LABELS))
+    total = len(cases)
     return {
         "split": split,
         "total": total,
         "ranges": [
-            {"label": label, "count": bins[label],
-             "rate": (bins[label] / total) if total else 0.0}
-            for label in NTYPE_LABELS
+            {"label": label, "count": int(count), "rate": (int(count) / total) if total else 0.0}
+            for label, count in zip(NTYPE_LABELS, bins)
         ],
     }
 
@@ -182,16 +170,14 @@ def ntype_mrr_breakdown(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacen
                         encoder_config: EncoderConfig, decoder_config: DecoderConfig,
                         split: str = "test", batch_size: int = 512) -> dict:
     """Per answer-count range MRR; empty ranges are omitted."""
-    counts = train_answer_counts(kg)
     cases = evaluation_queries(kg, split)
-    ranks = _rank_cases(params, kg, prox, encoder_config, decoder_config, cases, batch_size)
-    grouped: dict[str, list[float]] = {}
-    for (anchor, rel, _), rank in zip(cases, ranks):
-        grouped.setdefault(ntype_of(counts.get((anchor, rel), 0)), []).append(1.0 / rank)
+    bins = ntype_bins(train_answer_counts(kg, cases))
+    reciprocal = 1.0 / _rank_cases(params, kg, prox, encoder_config, decoder_config, cases,
+                                   batch_size)
+    counts = np.bincount(bins, minlength=len(NTYPE_LABELS))
+    present = [i for i, count in enumerate(counts) if count]
     return {
         "split": split,
-        "mrr_by_range": {label: float(np.mean(grouped[label]))
-                         for label in NTYPE_LABELS if label in grouped},
-        "count_by_range": {label: len(grouped[label])
-                           for label in NTYPE_LABELS if label in grouped},
+        "mrr_by_range": {NTYPE_LABELS[i]: float(np.mean(reciprocal[bins == i])) for i in present},
+        "count_by_range": {NTYPE_LABELS[i]: int(counts[i]) for i in present},
     }

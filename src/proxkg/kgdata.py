@@ -8,6 +8,9 @@ prediction benchmarks.
 from __future__ import annotations
 
 import json
+import pickle
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +85,7 @@ class KnowledgeGraph:
         try:
             return {"train": self.train, "valid": self.valid, "test": self.test}[name]
         except KeyError:
-            raise ValueError(f"unknown split {name!r}") from None
+            raise ContractError(f"unknown split {name!r}") from None
 
     def raw_train(self) -> np.ndarray:
         """Train triples before inverse augmentation."""
@@ -178,6 +181,15 @@ def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
     )
 
 
+def answer_keys(triples: np.ndarray, n_relations: int, n_entities: int) -> np.ndarray:
+    """int64 key ``(anchor * n_relations + relation) * n_entities + answer`` per triple.
+
+    Keys sort by query (anchor, relation), then by answer, so the known
+    answers of one query form one contiguous run of a sorted key array.
+    """
+    return (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
+
+
 def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.ndarray:
     """Indices of train triples kept for one batch's message-passing view.
 
@@ -213,21 +225,26 @@ def save_kg(kg: KnowledgeGraph, path) -> None:
 
 
 def load_kg(path) -> KnowledgeGraph:
-    with np.load(path, allow_pickle=True) as z:
-        entities = Vocabulary()
-        for s in z["entities"]:
-            entities.intern(str(s))
-        relations = Vocabulary()
-        for s in z["relations"]:
-            relations.intern(str(s))
-        num_raw = int(z["num_raw_relations"][0])
-        return KnowledgeGraph(
-            entities,
-            relations,
-            z["train"].astype(np.int64).reshape(-1, 3),
-            z["valid"].astype(np.int64).reshape(-1, 3),
-            z["test"].astype(np.int64).reshape(-1, 3),
-            augmented=bool(z["augmented"][0]),
-            num_raw_relations=None if num_raw < 0 else num_raw,
-            report=json.loads(str(z["report"][0])),
-        )
+    """Reads a ``save_kg`` file; a damaged or incomplete one is a DataError."""
+    try:
+        with np.load(path, allow_pickle=True) as z:
+            entities = Vocabulary()
+            for s in z["entities"]:
+                entities.intern(str(s))
+            relations = Vocabulary()
+            for s in z["relations"]:
+                relations.intern(str(s))
+            num_raw = int(z["num_raw_relations"][0])
+            return KnowledgeGraph(
+                entities,
+                relations,
+                z["train"].astype(np.int64).reshape(-1, 3),
+                z["valid"].astype(np.int64).reshape(-1, 3),
+                z["test"].astype(np.int64).reshape(-1, 3),
+                augmented=bool(z["augmented"][0]),
+                num_raw_relations=None if num_raw < 0 else num_raw,
+                report=json.loads(str(z["report"][0])),
+            )
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError,
+            pickle.UnpicklingError) as exc:
+        raise DataError(f"damaged knowledge graph file {path}: {exc}") from None

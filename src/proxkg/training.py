@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .decoder import DecoderConfig, bce_loss, conve_score, init_decoder_params
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
                       encode, init_encoder_params)
-from .kgdata import ContractError, DataError, KnowledgeGraph, sample_edge_dropout
+from .kgdata import ContractError, DataError, KnowledgeGraph, answer_keys, sample_edge_dropout
 from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph,
                         extract_qa_pairs)
 
@@ -34,6 +34,9 @@ GRID_LAYERS = (1, 2, 3)
 GRID_DROP_RATES = (0.1, 0.3, 0.5, 0.7, 1.0)
 GRID_M = (25, 50, 100, 500)
 GRID_I = (0.5, 1.0, 3.0, 5.0)
+# the hyper-parameters grid_search can vary
+GRID_KEYS = ("batch_size", "learning_rate", "dim", "kg_layers", "prox_layers",
+             "edge_drop_rate", "M", "I", "seed", "epochs")
 
 _CKPT_MAGIC = b"PKCK"
 _CKPT_VERSION = 1
@@ -84,13 +87,11 @@ def train_query_table(kg: KnowledgeGraph) -> tuple[np.ndarray, list[np.ndarray]]
     """Unique (anchor, relation) queries of the augmented train split with their answers."""
     if not kg.augmented:
         raise ContractError("training requires an augmented knowledge graph")
-    answers: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in kg.train:
-        answers.setdefault((int(h), int(r)), set()).add(int(t))
-    keys = sorted(answers)
-    queries = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
-    answer_lists = [np.asarray(sorted(answers[k]), dtype=np.int64) for k in keys]
-    return queries, answer_lists
+    query, answers = np.divmod(np.unique(answer_keys(kg.train, kg.n_relations, kg.n_entities)),
+                               kg.n_entities)
+    unique_query, starts = np.unique(query, return_index=True)
+    queries = np.stack(np.divmod(unique_query, kg.n_relations), axis=1)
+    return queries, np.split(answers, starts)[1:]
 
 
 def build_batches(queries: np.ndarray, answer_lists: list[np.ndarray], n_entities: int,
@@ -368,10 +369,12 @@ def grid_search(kg: KnowledgeGraph, grid: dict, encoder_base: EncoderConfig,
                 budget: int | None = None) -> dict:
     """Cartesian sweep over hyper-parameter value sets, ranked by validation MRR.
 
-    Recognized grid keys: batch_size, learning_rate, dim, kg_layers,
-    prox_layers, edge_drop_rate, M, I, seed, epochs. Proximity artifacts
-    are cached per M and per (M, I) across trials.
+    Every grid key must be one of GRID_KEYS. Proximity artifacts are cached
+    per M and per (M, I) across trials.
     """
+    unknown = sorted(set(grid) - set(GRID_KEYS))
+    if unknown:
+        raise ContractError(f"grid search does not vary {', '.join(unknown)}")
     keys = sorted(grid)
     combos = list(itertools.product(*(grid[k] for k in keys)))
     complete = budget is None or budget >= len(combos)

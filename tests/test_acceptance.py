@@ -18,15 +18,14 @@ from proxkg.autodiff import Tensor
 from proxkg.decoder import DecoderConfig, bce_loss, conve_score
 from proxkg.encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
                             encode, init_encoder_params)
-from proxkg.evaluation import (NTYPE_LABELS, evaluate, filtered_rank,
-                               ntype_mrr_breakdown, ntype_report)
+from proxkg.evaluation import NTYPE_LABELS, evaluate, ntype_mrr_breakdown, ntype_report
 from proxkg.kgdata import augment_inverse, ingest_dataset
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
 from proxkg.synth import clustered_kg, random_kg, toy_kg
 from proxkg.training import TrainConfig, Trainer
 
 from test_autodiff import check_gradient, finite_diff
-from test_evaluation import sort_rank_oracle
+from test_evaluation import rank_one, sort_rank_oracle
 from test_proximity import brute_force_spm
 
 DATA_DIR = os.environ.get(
@@ -191,8 +190,7 @@ def test_criterion_5_ranking_oracle():
         others = [e for e in range(n) if e != target]
         n_known = int(rng.integers(0, min(6, n - 1)))
         known = set(rng.choice(others, size=n_known, replace=False).tolist())
-        assert filtered_rank(scores, target, known).rank == \
-            sort_rank_oracle(scores, target, known)
+        assert rank_one(scores, target, known) == sort_rank_oracle(scores, target, known)
 
 
 def test_criterion_6_encoder_identities():

@@ -210,3 +210,33 @@ def test_cli_train_rejects_missing_checkpoint_directory(tmp_path, built_dir, cap
     log = built_dir / "metrics.jsonl"
     records = [json.loads(line) for line in log.read_text().splitlines()] if log.exists() else []
     assert not any("epoch" in rec for rec in records)
+
+
+def test_cli_unknown_config_key_is_config_error(built_dir, capsys):
+    capsys.readouterr()
+    assert run(["build-proximity", "--set", f"out_dir={built_dir}", "--set", "bogus=1"]) \
+        == EXIT_CONFIG
+    assert "bogus" in capsys.readouterr().err
+    cfg = built_dir / "run.cfg"
+    cfg.write_text("M = 4\nprox_path = elsewhere.bin\n")
+    assert run(["build-proximity", "--config", cfg, "--set", f"out_dir={built_dir}"]) \
+        == EXIT_CONFIG
+
+
+def test_cli_grid_key_it_does_not_vary_is_config_error(built_dir):
+    args = ["grid", "--set", f"out_dir={built_dir}", "--set", "grid.dropout_input=0.1,0.2"]
+    assert run(args + TINY_TRAIN) == EXIT_CONFIG
+    assert not (built_dir / "trials.tsv").exists()
+
+
+def test_cli_truncated_kg_is_data_error(built_dir):
+    path = built_dir / "kg.npz"
+    path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+    assert run(["build-proximity", "--set", f"out_dir={built_dir}"]) == EXIT_DATA
+
+
+def test_cli_unknown_split_is_config_error(built_dir):
+    args = ["--set", f"out_dir={built_dir}", "--set", "eval_split=bogus"] + TINY_TRAIN
+    assert run(["ntype"] + args) == EXIT_CONFIG
+    assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_OK
+    assert run(["evaluate"] + args) == EXIT_CONFIG

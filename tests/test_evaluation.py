@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from proxkg.decoder import DecoderConfig
-from proxkg.encoder import EncoderConfig, ProximityAdjacency
+import proxkg.evaluation as ev
+from proxkg.decoder import DecoderConfig, init_decoder_params
+from proxkg.encoder import EncoderConfig, ProximityAdjacency, init_encoder_params
 from proxkg.evaluation import (NTYPE_LABELS, build_filter_index, evaluate,
                                evaluation_queries, filtered_rank,
-                               metrics_from_ranks, ntype_mrr_breakdown, ntype_of,
-                               ntype_report)
-from proxkg.kgdata import ContractError, augment_inverse
+                               metrics_from_ranks, ntype_bins, ntype_mrr_breakdown,
+                               ntype_report, score_all_queries)
+from proxkg.kgdata import ContractError, answer_keys, augment_inverse
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
-from proxkg.synth import toy_kg
+from proxkg.synth import random_kg, toy_kg
 from conftest import kg_from_triples
 
 
@@ -34,25 +35,34 @@ def sort_rank_oracle(scores, target, known_true):
     return ranks[target]
 
 
+def rank_one(scores, target, known):
+    """filtered_rank on a single row with query (0, 0) of one relation: its keys are entity ids."""
+    keys = np.unique(np.asarray(list(known), dtype=np.int64))
+    return filtered_rank(np.array(scores, dtype=float)[None], np.array([[0, 0, target]]),
+                         keys, 1)[0]
+
+
 def test_filtered_rank_three_way_tie():
     scores = np.array([0.9, 0.9, 0.9, 0.1])
-    assert filtered_rank(scores, 0, set()).rank == 2.0
+    assert rank_one(scores, 0, set()) == 2.0
 
 
 def test_filtered_rank_strict_top():
     scores = np.array([0.1, 0.9, 0.3])
-    assert filtered_rank(scores, 1, set()).rank == 1.0
+    assert rank_one(scores, 1, set()) == 1.0
 
 
 def test_filtered_rank_masks_known_true():
     scores = np.array([0.9, 0.8, 0.7])
-    assert filtered_rank(scores, 2, set()).rank == 3.0
-    assert filtered_rank(scores, 2, {0, 1}).rank == 1.0
+    assert rank_one(scores, 2, set()) == 3.0
+    assert rank_one(scores, 2, {0, 1}) == 1.0
 
 
-def test_filtered_rank_target_in_filter_raises():
-    with pytest.raises(ContractError):
-        filtered_rank(np.array([0.5, 0.4]), 0, {0})
+def test_filtered_rank_keeps_target_in_filter():
+    # the filter holds the target itself; its score is read first and restored
+    scores = np.array([0.5, 0.4, 0.6])
+    assert rank_one(scores, 0, {0}) == rank_one(scores, 0, set()) == 2.0
+    assert rank_one(scores, 0, {0, 2}) == 1.0
 
 
 def test_filtered_rank_matches_sort_oracle():
@@ -68,27 +78,48 @@ def test_filtered_rank_matches_sort_oracle():
         others = [e for e in range(n) if e != target]
         known = set(rng.choice(others, size=int(rng.integers(0, min(5, n - 1))),
                                replace=False).tolist()) if n > 1 else set()
-        got = filtered_rank(scores, target, known).rank
+        got = rank_one(scores, target, known)
         assert got == sort_rank_oracle(scores, target, known)
+
+
+def test_filtered_rank_batch_matches_sort_oracle():
+    """One call over many rows, each with its own query and filter, equals the per-row oracle."""
+    rng = np.random.default_rng(17)
+    n_e, n_rel, n_rows = 30, 4, 300
+    cases = np.stack([rng.integers(8, size=n_rows), rng.integers(n_rel, size=n_rows),
+                      rng.integers(n_e, size=n_rows)], axis=1)
+    # repeated queries share a filter; some filters hold the row's own target
+    filters = {(a, r): set(rng.choice(n_e, size=int(rng.integers(0, 12)), replace=False).tolist())
+               for a in range(8) for r in range(n_rel)}
+    known = np.unique(answer_keys(np.array([(a, r, e) for (a, r), f in filters.items()
+                                            for e in f], dtype=np.int64).reshape(-1, 3),
+                                  n_rel, n_e))
+    scores = np.where(rng.random((n_rows, n_e)) < 0.5,
+                      rng.choice([0.1, 0.5, 0.9], size=(n_rows, n_e)),
+                      rng.uniform(0, 1, (n_rows, n_e)))
+    got = filtered_rank(scores.copy(), cases, known, n_rel)
+    assert any(t in filters[(a, r)] for a, r, t in cases.tolist())
+    for row, (a, r, t) in enumerate(cases.tolist()):
+        assert got[row] == sort_rank_oracle(scores[row], t, filters[(a, r)] - {t})
 
 
 def test_rank_monotone_in_target_score():
     rng = np.random.default_rng(5)
     scores = rng.uniform(0, 1, 20)
     target = 3
-    base = filtered_rank(scores, target, set()).rank
+    base = rank_one(scores, target, set())
     scores2 = scores.copy()
     scores2[target] += 0.2
-    assert filtered_rank(scores2, target, set()).rank <= base
+    assert rank_one(scores2, target, set()) <= base
 
 
 def test_filter_soundness():
     rng = np.random.default_rng(6)
     scores = rng.uniform(0, 1, 20)
-    base = filtered_rank(scores, 4, set()).rank
+    base = rank_one(scores, 4, set())
     for extra in range(3):
         filt = set(range(extra + 1)) - {4}
-        assert filtered_rank(scores, 4, filt).rank <= base
+        assert rank_one(scores, 4, filt) <= base
 
 
 def test_metrics_single_case():
@@ -112,7 +143,7 @@ def test_evaluation_queries_both_directions():
     kg = augment_inverse(kg_from_triples([("a", "r", "b")], test=[("a", "r", "c")]))
     cases = evaluation_queries(kg, "test")
     e, inv_r = kg.entities.lookup, kg.num_raw_relations
-    assert cases == [(e("a"), 0, e("c")), (e("c"), 0 + inv_r, e("a"))]
+    assert cases.tolist() == [[e("a"), 0, e("c")], [e("c"), 0 + inv_r, e("a")]]
 
 
 def test_filter_index_covers_all_splits():
@@ -120,38 +151,134 @@ def test_filter_index_covers_all_splits():
         [("a", "r", "b")], valid=[("a", "r", "c")], test=[("a", "r", "d")]))
     index = build_filter_index(kg)
     e = kg.entities.lookup
-    assert index[(e("a"), 0)] == {e("b"), e("c"), e("d")}
-    assert index[(e("b"), kg.num_raw_relations)] == {e("a")}
+
+    def answers(anchor, rel):
+        q, answer = np.divmod(index, kg.n_entities)
+        return set(answer[q == anchor * kg.n_relations + rel].tolist())
+
+    assert answers(e("a"), 0) == {e("b"), e("c"), e("d")}
+    assert answers(e("b"), kg.num_raw_relations) == {e("a")}
+    assert np.array_equal(index, np.unique(index))
 
 
 def test_evaluate_perfect_model(rng):
     kg = augment_inverse(toy_kg(rng, 8, 3, 20))
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
 
-    # hand-built scorer: patch score_all_queries through a perfect score matrix
-    import proxkg.evaluation as ev
+    # hand-built scorer: patch batch_scorer with a perfect scorer
+    def perfect_scorer(params, kg_, prox, ec, dc):
+        def score(queries):
+            out = np.zeros((len(queries), kg_.n_entities))
+            for i, (a, r) in enumerate(queries.tolist()):
+                # give the true target(s) of the train split top score
+                for h, rr, t in kg_.train:
+                    if (h, rr) == (a, r):
+                        out[i, t] = 1.0
+            return out
+        return score
 
-    def perfect_scores(params, kg_, prox, ec, dc, queries, batch_size=512):
-        out = np.zeros((len(queries), kg_.n_entities))
-        for i, (a, r) in enumerate(queries):
-            # give the true target(s) of the train split top score
-            for h, rr, t in kg_.train:
-                if (h, rr) == (a, r):
-                    out[i, t] = 1.0
-        return out
-
-    original = ev.score_all_queries
-    ev.score_all_queries = perfect_scores
+    original = ev.batch_scorer
+    ev.batch_scorer = perfect_scorer
     try:
         m = ev.evaluate({}, kg, None, EncoderConfig(dim=8, kg_only=True),
                         DecoderConfig(dim=8), split="train")
     finally:
-        ev.score_all_queries = original
+        ev.batch_scorer = original
     assert m["mrr"] == 1.0
     assert m["hits1"] == 1.0
 
 
+def test_unknown_split_is_contract_error():
+    kg = augment_inverse(kg_from_triples([("a", "r", "b")]))
+    with pytest.raises(ContractError):
+        evaluation_queries(kg, "bogus")
+
+
+def overlap_kg(rng):
+    """Random KG whose valid/test queries share answers with each other and with train."""
+    return augment_inverse(random_kg(rng, 12, 3, 40, 12, 13))
+
+
+def oracle_filter(kg):
+    """(anchor, relation) -> known answers, from plain sets over train and both eval splits."""
+    n_raw = kg.num_raw_relations
+    known = {}
+    for h, r, t in kg.train.tolist():
+        known.setdefault((h, r), set()).add(t)
+    for split in (kg.valid, kg.test):
+        for h, r, t in split.tolist():
+            known.setdefault((h, r), set()).add(t)
+            known.setdefault((t, r + n_raw), set()).add(h)
+    return known
+
+
+def oracle_ranks(kg, score_of):
+    """Per-case sort oracle over the test split's cases, in triple order."""
+    n_raw, known = kg.num_raw_relations, oracle_filter(kg)
+    cases = [c for h, r, t in kg.test.tolist() for c in ((h, r, t), (t, r + n_raw, h))]
+    return cases, np.array([sort_rank_oracle(score_of(i, a, r), t, known[(a, r)] - {t})
+                            for i, (a, r, t) in enumerate(cases)])
+
+
+def test_evaluate_matches_per_case_oracle(monkeypatch):
+    rng = np.random.default_rng(2024)
+    kg = overlap_kg(rng)
+    n_rel = kg.n_relations
+    table = rng.choice([0.2, 0.5, 0.8], size=(kg.n_entities * n_rel, kg.n_entities))
+
+    def table_scorer(params, kg_, prox, ec, dc):
+        return lambda queries: table[queries[:, 0] * n_rel + queries[:, 1]]
+
+    cases, want = oracle_ranks(kg, lambda i, a, r: table[a * n_rel + r])
+    batch_size = 4
+    assert len(cases) > batch_size and len(cases) % batch_size
+    assert np.any(want % 1)                        # tied targets
+    train_q = {(h, r) for h, r, _ in kg.train.tolist()}
+    valid_q = {(h, r) for h, r, _ in kg.valid.tolist()}
+    assert any((a, r) in train_q for a, r, _ in cases)
+    assert any((a, r) in valid_q for a, r, _ in cases)
+
+    monkeypatch.setattr(ev, "batch_scorer", table_scorer)
+    enc, dec = EncoderConfig(dim=8, kg_only=True), DecoderConfig(dim=8)
+    got = evaluate({}, kg, None, enc, dec, split="test", batch_size=batch_size)
+    assert got == {**metrics_from_ranks(want), "split": "test"}
+
+    def label_of(n):
+        return ("N=0" if n == 0 else "N=1" if n == 1 else "1<N<=10" if n <= 10
+                else "10<N<=100" if n <= 100 else "100<N<=500" if n <= 500 else "N>500")
+
+    train = kg.train.tolist()
+    grouped = {}
+    for (a, r, _), rank in zip(cases, want):
+        n = sum(1 for h, rr, _ in train if (h, rr) == (a, r))
+        grouped.setdefault(label_of(n), []).append(1.0 / rank)
+    breakdown = ntype_mrr_breakdown({}, kg, None, enc, dec, split="test", batch_size=batch_size)
+    assert breakdown["mrr_by_range"] == {label: float(np.mean(grouped[label]))
+                                         for label in NTYPE_LABELS if label in grouped}
+    assert breakdown["count_by_range"] == {label: len(grouped[label])
+                                           for label in NTYPE_LABELS if label in grouped}
+
+
+def test_evaluate_model_scores_match_per_case_oracle():
+    rng = np.random.default_rng(2025)
+    kg = overlap_kg(rng)
+    enc = EncoderConfig(dim=8, kg_only=True)
+    dec = DecoderConfig(dim=8, n_filters=4, kernel=2)
+    params = init_encoder_params(enc, kg.n_entities, kg.n_relations, rng)
+    params.update(init_decoder_params(dec, kg.n_entities, rng))
+    n_raw, batch_size = kg.num_raw_relations, 3
+    queries = [q for h, r, t in kg.test.tolist() for q in ((h, r), (t, r + n_raw))]
+    scores = score_all_queries(params, kg, None, enc, dec, queries, batch_size)
+    _, want = oracle_ranks(kg, lambda i, a, r: scores[i])
+    assert len(want) % batch_size
+    got = evaluate(params, kg, None, enc, dec, split="test", batch_size=batch_size)
+    assert got == {**metrics_from_ranks(want), "split": "test"}
+
+
 def test_ntype_binning():
+    def ntype_of(n):
+        return NTYPE_LABELS[ntype_bins([n])[0]]
+
     assert ntype_of(0) == "N=0"
     assert ntype_of(1) == "N=1"
     assert ntype_of(2) == ntype_of(10) == "1<N<=10"
@@ -190,8 +317,6 @@ def test_ntype_partition_counts(rng):
 def test_ntype_breakdown_single_range_equals_overall(rng):
     kg = augment_inverse(toy_kg(rng, 8, 3, 15))
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
-    from proxkg.encoder import init_encoder_params
-    from proxkg.decoder import init_decoder_params
     enc = EncoderConfig(dim=8)
     dec = DecoderConfig(dim=8, n_filters=4, kernel=2)
     params = init_encoder_params(enc, kg.n_entities, kg.n_relations, rng)

@@ -6,7 +6,7 @@ from proxkg.decoder import DecoderConfig
 from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError, DataError, augment_inverse
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
-from proxkg.synth import toy_kg
+from proxkg.synth import random_kg, toy_kg
 from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
                              build_batches, config_digest, grid_search,
                              load_checkpoint, params_from_checkpoint,
@@ -50,6 +50,17 @@ def test_query_table_and_multihot_targets(rng):
         expected = {int(t) for h, r, t in kg.train if (h, r) == (anchor, rel)}
         assert set(np.flatnonzero(batch.targets[row])) == expected
         assert np.all(np.isin(batch.targets[row], [0.0, 1.0]))
+
+
+def test_query_table_matches_dict_reference(rng):
+    kg = augment_inverse(random_kg(rng, 15, 4, 80))
+    answers = {}
+    for h, r, t in kg.train.tolist():
+        answers.setdefault((h, r), set()).add(t)
+    keys = sorted(answers)
+    queries, answer_lists = train_query_table(kg)
+    assert queries.dtype == np.int64 and queries.tolist() == [list(k) for k in keys]
+    assert [a.tolist() for a in answer_lists] == [sorted(answers[k]) for k in keys]
 
 
 def test_target_smoothing_row_sum(rng):
@@ -217,6 +228,12 @@ def test_grid_search_budget_flag(rng):
     result = grid_search(kg, {"seed": [1, 2, 3]}, enc, dec, trn, budget=2)
     assert len(result["trials"]) == 2
     assert not result["complete"]
+
+
+def test_grid_search_rejects_key_it_does_not_vary(rng):
+    kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1)
+    with pytest.raises(ContractError):
+        grid_search(kg, {"seed": [1], "dropout_input": [0.1, 0.2]}, enc, dec, trn)
 
 
 def test_grid_M_changes_spm(rng):
