@@ -250,11 +250,13 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # z = exp(-|x|) never overflows: 1 / (1 + z) where x >= 0, z / (1 + z) elsewhere
+    z = np.abs(a.data)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    out = np.where(a.data >= 0, 1.0, z)
+    z += 1.0
+    out /= z
 
     def bw(g):
         return [(a, g * out * (1.0 - out))]

@@ -16,15 +16,16 @@ import os
 import sys
 
 from . import __version__
-from .decoder import DecoderConfig
-from .encoder import EncoderConfig, ProximityAdjacency
+from .encoder import ProximityAdjacency
 from .evaluation import evaluate, ntype_mrr_breakdown, ntype_report
-from .kgdata import ContractError, DataError, augment_inverse, ingest_dataset, load_kg, save_kg
+from .kgdata import (ContractError, DataError, KnowledgeGraph, augment_inverse, ingest_dataset,
+                     load_kg, save_kg)
 from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_tsv,
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
 from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, config_digest,
-                       grid_search, params_from_checkpoint, write_trial_table)
+                       grid_search, make_configs, params_from_checkpoint, proximity_settings,
+                       write_trial_table)
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
@@ -85,45 +86,8 @@ def load_run_config(args) -> dict:
     return cfg
 
 
-def make_configs(cfg: dict) -> tuple[EncoderConfig, DecoderConfig, TrainConfig]:
-    dim = cfg.get("dim", 200)
-    enc = EncoderConfig(
-        dim=dim,
-        kg_layers=cfg.get("kg_layers", 1),
-        prox_layers=cfg.get("prox_layers", 1),
-        composition=cfg.get("composition", "additive"),
-        weight_scheme=cfg.get("weight_scheme", "attention"),
-        kg_only=cfg.get("kg_only", False),
-        allow_any_depth=cfg.get("allow_any_depth", False),
-    )
-    dec = DecoderConfig(
-        dim=dim,
-        n_filters=cfg.get("n_filters", 32),
-        kernel=cfg.get("kernel", 3),
-        dropout_input=cfg.get("dropout_input", 0.2),
-        dropout_feature=cfg.get("dropout_feature", 0.2),
-        dropout_hidden=cfg.get("dropout_hidden", 0.3),
-        label_smoothing=cfg.get("label_smoothing", 0.1),
-    )
-    trn = TrainConfig(
-        batch_size=cfg.get("batch_size", 256),
-        learning_rate=cfg.get("learning_rate", 3e-4),
-        optimizer=cfg.get("optimizer", "adam"),
-        epochs=cfg.get("epochs", 10),
-        edge_drop_rate=cfg.get("edge_drop_rate", 0.1),
-        eval_every=cfg.get("eval_every", 0),
-        seed=cfg.get("seed", 0),
-        label_smoothing=cfg.get("label_smoothing", 0.1),
-        allow_off_grid=cfg.get("allow_off_grid", False),
-    )
-    enc.validate()
-    dec.validate()
-    trn.validate()
-    return enc, dec, trn
-
-
 def provenance(cfg: dict, enc=None, dec=None, trn=None) -> dict:
-    header = {"tool_version": __version__, "seed": cfg.get("seed", 0)}
+    header = {"tool_version": __version__, "seed": cfg.get("seed", TrainConfig.seed)}
     if enc and dec and trn:
         header["config_digest"] = config_digest(enc, dec, trn)
     return header
@@ -155,18 +119,24 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_kg_arg(cfg) -> "KnowledgeGraph":
+def _load_kg_arg(cfg) -> KnowledgeGraph:
     path = cfg.get("kg_path") or os.path.join(cfg.get("out_dir", "."), "kg.npz")
     if not os.path.exists(path):
         raise DataError(f"knowledge graph artifact not found: {path}")
     return load_kg(path)
 
 
+def _load_run(args) -> tuple[dict, KnowledgeGraph]:
+    """The run's settings and its knowledge graph, augmented with inverse relations."""
+    cfg = load_run_config(args)
+    kg = _load_kg_arg(cfg)
+    return cfg, kg if kg.augmented else augment_inverse(kg)
+
+
 def cmd_build_proximity(args) -> int:
     cfg = load_run_config(args)
     kg = _load_kg_arg(cfg)
-    M = cfg.get("M", 50)
-    I = cfg.get("I", 1.0)
+    M, I = proximity_settings(cfg)
     index = extract_qa_pairs(kg)
     spm = accumulate_spm(index, M)
     graph = build_proximity_graph(spm, I, kg.n_entities)
@@ -200,10 +170,7 @@ def _load_pgraph(cfg, kg, enc):
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args)
-    kg = _load_kg_arg(cfg)
-    if not kg.augmented:
-        kg = augment_inverse(kg)
+    cfg, kg = _load_run(args)
     enc, dec, trn = make_configs(cfg)
     pgraph, _ = _load_pgraph(cfg, kg, enc)
     out = _out_dir(cfg)
@@ -235,10 +202,7 @@ def _checkpoint_setup(cfg, kg):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_run_config(args)
-    kg = _load_kg_arg(cfg)
-    if not kg.augmented:
-        kg = augment_inverse(kg)
+    cfg, kg = _load_run(args)
     params, enc, dec, prox = _checkpoint_setup(cfg, kg)
     split = cfg.get("eval_split", "test")
     metrics = evaluate(params, kg, prox, enc, dec, split=split)
@@ -249,10 +213,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ntype(args) -> int:
-    cfg = load_run_config(args)
-    kg = _load_kg_arg(cfg)
-    if not kg.augmented:
-        kg = augment_inverse(kg)
+    cfg, kg = _load_run(args)
     split = cfg.get("eval_split", "test")
     report = ntype_report(kg, split)
     out = _out_dir(cfg)
@@ -274,15 +235,11 @@ def cmd_ntype(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    cfg = load_run_config(args)
-    kg = _load_kg_arg(cfg)
-    if not kg.augmented:
-        kg = augment_inverse(kg)
-    enc, dec, trn = make_configs(cfg)
+    cfg, kg = _load_run(args)
     grid = {key[5:]: value for key, value in cfg.items() if key.startswith("grid.")}
     if not grid:
         raise ContractError("no grid.* keys in configuration")
-    result = grid_search(kg, grid, enc, dec, trn, budget=cfg.get("budget"))
+    result = grid_search(kg, grid, cfg, budget=cfg.get("budget"))
     out = _out_dir(cfg)
     write_trial_table(result, os.path.join(out, "trials.tsv"))
     print(json.dumps({"n_trials": len(result["trials"]), "complete": result["complete"]}))

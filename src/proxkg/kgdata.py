@@ -8,7 +8,6 @@ prediction benchmarks.
 from __future__ import annotations
 
 import json
-import pickle
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -92,12 +91,6 @@ class KnowledgeGraph:
         if not self.augmented:
             return self.train
         return self.train[: len(self.train) // 2]
-
-    def inverse_of(self, rel: int) -> int:
-        if not self.augmented:
-            raise ContractError("inverse relations exist only after augmentation")
-        n = self.num_raw_relations
-        return rel + n if rel < n else rel - n
 
 
 def _parse_split(path, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:
@@ -210,24 +203,37 @@ def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.n
     return np.flatnonzero(keep).astype(np.int64)
 
 
+def _unicode_array(strings: list[str]) -> np.ndarray:
+    array = np.asarray(strings, dtype=str)
+    # a fixed-width unicode array drops trailing NULs, which would merge distinct surfaces
+    if array.tolist() != strings:
+        raise DataError("a surface string ending in NUL cannot be stored")
+    return array
+
+
 def save_kg(kg: KnowledgeGraph, path) -> None:
+    """One ``.npz`` of plain arrays: vocabularies and the report are unicode arrays."""
     np.savez_compressed(
         path,
-        entities=np.asarray(kg.entities.surfaces(), dtype=object),
-        relations=np.asarray(kg.relations.surfaces(), dtype=object),
+        entities=_unicode_array(kg.entities.surfaces()),
+        relations=_unicode_array(kg.relations.surfaces()),
         train=kg.train,
         valid=kg.valid,
         test=kg.test,
         augmented=np.asarray([kg.augmented]),
         num_raw_relations=np.asarray([kg.num_raw_relations or -1]),
-        report=np.asarray([json.dumps(kg.report)], dtype=object),
+        report=np.asarray([json.dumps(kg.report)]),
     )
 
 
 def load_kg(path) -> KnowledgeGraph:
-    """Reads a ``save_kg`` file; a damaged or incomplete one is a DataError."""
+    """Reads a ``save_kg`` file without unpickling anything.
+
+    A damaged or incomplete file, or one holding pickled object arrays, is a
+    DataError.
+    """
     try:
-        with np.load(path, allow_pickle=True) as z:
+        with np.load(path, allow_pickle=False) as z:
             entities = Vocabulary()
             for s in z["entities"]:
                 entities.intern(str(s))
@@ -245,6 +251,6 @@ def load_kg(path) -> KnowledgeGraph:
                 num_raw_relations=None if num_raw < 0 else num_raw,
                 report=json.loads(str(z["report"][0])),
             )
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError,
-            pickle.UnpicklingError) as exc:
-        raise DataError(f"damaged knowledge graph file {path}: {exc}") from None
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+        raise DataError(f"damaged or pickled knowledge graph file {path} "
+                        f"(re-run ingest): {exc}") from None

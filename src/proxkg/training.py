@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +67,8 @@ class TrainConfig:
             raise ContractError("edge_drop_rate must be in [0,1]")
         if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate < 0:
             raise ContractError("epochs, batch_size and learning_rate must be non-negative")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ContractError("label_smoothing must be in [0,1)")
         if not self.allow_off_grid:
             if self.batch_size not in GRID_BATCH_SIZES:
                 raise ContractError(
@@ -75,6 +78,25 @@ class TrainConfig:
                 raise ContractError(
                     f"edge_drop_rate {self.edge_drop_rate} outside the published grid "
                     f"{GRID_DROP_RATES}; set allow_off_grid to override")
+
+
+def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainConfig]:
+    """Validated encoder, decoder and train configs from one flat ``key -> value`` dict.
+
+    Each config takes the keys named like its fields, so a shared key such as
+    ``dim`` or ``label_smoothing`` reaches every config that has it; an absent
+    key keeps the field's default, and keys no config has are ignored.
+    """
+    configs = tuple(cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
+                    for cls in (EncoderConfig, DecoderConfig, TrainConfig))
+    for config in configs:
+        config.validate()
+    return configs
+
+
+def proximity_settings(settings: dict) -> tuple[int, float]:
+    """The answer-set cutoff M and the edge threshold I of a run."""
+    return int(settings.get("M", 50)), float(settings.get("I", 1.0))
 
 
 @dataclass
@@ -197,12 +219,19 @@ def save_checkpoint(path, params: dict, optimizer, encoder_config, decoder_confi
         "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
     }
     raw = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(_CKPT_HEAD.pack(_CKPT_VERSION, len(raw)))
-        fh.write(raw)
-        for spec in header["blobs"]:
-            fh.write(np.ascontiguousarray(blobs[spec["name"]], dtype=np.float64).tobytes())
+    # written beside the target and renamed over it, so a failed write leaves the old file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(_CKPT_HEAD.pack(_CKPT_VERSION, len(raw)))
+            fh.write(raw)
+            for spec in header["blobs"]:
+                fh.write(np.ascontiguousarray(blobs[spec["name"]], dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
@@ -364,39 +393,33 @@ def params_from_checkpoint(path) -> tuple[dict, EncoderConfig, DecoderConfig]:
     return params, EncoderConfig(**header["encoder_config"]), DecoderConfig(**header["decoder_config"])
 
 
-def grid_search(kg: KnowledgeGraph, grid: dict, encoder_base: EncoderConfig,
-                decoder_base: DecoderConfig, train_base: TrainConfig,
+def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,
                 budget: int | None = None) -> dict:
     """Cartesian sweep over hyper-parameter value sets, ranked by validation MRR.
 
-    Every grid key must be one of GRID_KEYS. Proximity artifacts are cached
+    Every grid key must be one of GRID_KEYS. Each trial is configured by
+    ``make_configs`` and ``proximity_settings`` from the run's flat settings
+    overridden by its grid cell; every trial's configs are built and
+    validated before the first one trains. Proximity artifacts are cached
     per M and per (M, I) across trials.
     """
     unknown = sorted(set(grid) - set(GRID_KEYS))
     if unknown:
         raise ContractError(f"grid search does not vary {', '.join(unknown)}")
     keys = sorted(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys)))
-    complete = budget is None or budget >= len(combos)
+    cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    complete = budget is None or budget >= len(cells)
     if budget is not None:
-        combos = combos[:budget]
+        cells = cells[:budget]
+    runs = [{**settings, **cell} for cell in cells]
+    configs = [make_configs(run) for run in runs]
 
     qa_index = extract_qa_pairs(kg)
     spm_cache: dict[int, object] = {}
     pgraph_cache: dict[tuple[int, float], ProximityGraph] = {}
     trials = []
-    for combo in combos:
-        cfg = dict(zip(keys, combo))
-        enc = EncoderConfig(**{**asdict(encoder_base),
-                               **{k: cfg[k] for k in ("dim", "kg_layers", "prox_layers") if k in cfg}})
-        dec = DecoderConfig(**{**{k: v for k, v in asdict(decoder_base).items()
-                                  if k not in ("reshape_h", "reshape_w")},
-                               **({"dim": cfg["dim"]} if "dim" in cfg else {})})
-        trn = TrainConfig(**{**asdict(train_base),
-                             **{k: cfg[k] for k in ("batch_size", "learning_rate",
-                                                    "edge_drop_rate", "seed", "epochs") if k in cfg}})
-        M = int(cfg.get("M", 50))
-        I = float(cfg.get("I", 1.0))
+    for cell, run, (enc, dec, trn) in zip(cells, runs, configs):
+        M, I = proximity_settings(run)
         if enc.kg_only:
             pgraph = None
         else:
@@ -408,7 +431,7 @@ def grid_search(kg: KnowledgeGraph, grid: dict, encoder_base: EncoderConfig,
         trainer = Trainer(kg, pgraph, enc, dec, trn)
         trainer.train()
         mrr = trainer.valid_mrr() if len(kg.valid) else float("nan")
-        trials.append({**cfg, "M": M, "I": I, "seed": trn.seed, "valid_mrr": mrr})
+        trials.append({**cell, "M": M, "I": I, "seed": trn.seed, "valid_mrr": mrr})
     trials.sort(key=lambda row: (-(row["valid_mrr"] if np.isfinite(row["valid_mrr"]) else -np.inf)))
     return {"trials": trials, "complete": complete}
 

@@ -271,6 +271,26 @@ def test_activation_values():
     assert np.allclose(ad.relu(Tensor(np.array([-1.0, 2.0]))).data, [0.0, 2.0])
 
 
+def _two_branch_sigmoid(x):
+    # the masked two-branch formula sigmoid replaced, kept as the reference
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_identical_to_two_branch_formula(rng):
+    edges = np.array([0.0, 1e-300, 36.8, 745.0, 800.0])
+    x = np.concatenate([edges, -edges, rng.normal(0.0, 3.0, (64, 37)).ravel()])
+    with np.errstate(over="raise"):
+        out = ad.sigmoid(Tensor(x)).data
+        ref = _two_branch_sigmoid(x)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert out[0] == 0.5 and out[len(edges)] == 0.5
+
+
 def test_activation_gradients(rng):
     x = rng.uniform(-1, 1, (3, 4))
     for op in (ad.tanh, ad.sigmoid):

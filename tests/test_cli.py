@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from proxkg.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, coerce, main,
+from proxkg.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, coerce, main,
                         parse_config_file)
+from proxkg.decoder import DecoderConfig
+from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError
 from proxkg.synth import clustered_kg, toy_kg, write_kg_files
+from proxkg.training import TrainConfig
 
 
 @pytest.fixture
@@ -37,6 +40,22 @@ def test_config_file_parsing(tmp_path):
     assert coerce("grid.M", "3,4") == [3, 4]
     with pytest.raises(ContractError):
         coerce("M", "abc")
+
+
+# keys a command reads that are not fields of a config dataclass
+RUN_KEYS = {"train_path", "valid_path", "test_path", "out_dir", "kg_path", "pgraph_path",
+            "checkpoint_path", "eval_split", "budget", "M", "I"}
+
+
+def test_config_keys_are_config_fields_or_run_keys():
+    field_types = {}
+    for cls in (EncoderConfig, DecoderConfig, TrainConfig):
+        for name, value in vars(cls()).items():
+            assert field_types.setdefault(name, type(value)) is type(value), name
+    for key, kind in CONFIG_KEYS.items():
+        assert key in RUN_KEYS or field_types.get(key) is kind, key
+    assert set(field_types) - set(CONFIG_KEYS) == {"reshape_h", "reshape_w"}
+    assert not RUN_KEYS & set(field_types)
 
 
 def test_cli_full_pipeline(tmp_path, dataset_dir, capsys):
@@ -240,3 +259,11 @@ def test_cli_unknown_split_is_config_error(built_dir):
     assert run(["ntype"] + args) == EXIT_CONFIG
     assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_OK
     assert run(["evaluate"] + args) == EXIT_CONFIG
+
+
+def test_cli_grid_starts_from_run_M_and_I(built_dir):
+    args = ["grid", "--set", f"out_dir={built_dir}", "--set", "grid.seed=1"] + TINY_TRAIN
+    assert run(args + ["--set", "M=3", "--set", "I=0.5"]) == EXIT_OK
+    header, row = (built_dir / "trials.tsv").read_text().splitlines()
+    trial = dict(zip(header.split("\t"), row.split("\t")))
+    assert (trial["M"], trial["I"], trial["seed"]) == ("3", "0.5", "1")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,47 @@ def test_kg_serialization_round_trip(tmp_path):
     assert np.array_equal(back.valid, kg.valid)
     assert back.entities.surfaces() == kg.entities.surfaces()
     assert back.relations.surfaces() == kg.relations.surfaces()
+
+
+def test_kg_file_holds_no_object_arrays(tmp_path):
+    kg = kg_from_triples([("a", "r0", "b"), ("b\u00e9", "r1", "")])
+    kg.report = {"note": "caf\u00e9 \u0000"}
+    path = tmp_path / "kg.npz"
+    save_kg(kg, path)
+    with np.load(path, allow_pickle=False) as z:
+        assert not any(z[name].dtype.hasobject for name in z.files)
+        assert z["entities"].dtype.kind == "U"
+    back = load_kg(path)
+    assert back.entities.surfaces() == ["a", "b", "b\u00e9", ""]
+    assert back.report == kg.report
+
+
+def test_kg_surface_ending_in_nul_is_data_error(tmp_path):
+    kg = kg_from_triples([("a", "r0", "a\x00")])
+    with pytest.raises(DataError):
+        save_kg(kg, tmp_path / "kg.npz")
+
+
+class _SideEffect:
+    """Unpickles by creating a directory, so running the pickle is visible."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return os.mkdir, (self.marker,)
+
+
+def test_load_kg_never_unpickles(tmp_path):
+    kg = kg_from_triples([("a", "r0", "b")])
+    good = tmp_path / "good.npz"
+    save_kg(kg, good)
+    marker = tmp_path / "unpickled"
+    with np.load(good, allow_pickle=True) as z:   # a file this test just wrote
+        arrays = {name: z[name] for name in z.files}
+    arrays["entities"] = np.array([_SideEffect(str(marker)), "b"], dtype=object)
+    evil = tmp_path / "evil.npz"
+    np.savez(evil, **arrays)
+    with pytest.raises(DataError):
+        load_kg(evil)
+    assert not marker.exists()

@@ -7,24 +7,52 @@ from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError, DataError, augment_inverse
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
 from proxkg.synth import random_kg, toy_kg
+from proxkg import training
 from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
                              build_batches, config_digest, grid_search,
-                             load_checkpoint, params_from_checkpoint,
+                             load_checkpoint, make_configs, params_from_checkpoint,
                              save_checkpoint, train_query_table, write_trial_table)
 from conftest import kg_from_triples
+
+# flat run settings of the toy model, as the CLI would pass them
+TOY_SETTINGS = dict(dim=8, kg_layers=1, prox_layers=1, n_filters=4, kernel=2,
+                    dropout_input=0.0, dropout_feature=0.0, dropout_hidden=0.0,
+                    label_smoothing=0.1, batch_size=16, learning_rate=1e-2, epochs=3,
+                    edge_drop_rate=0.1, seed=5, allow_off_grid=True)
 
 
 def toy_pipeline(rng, kg_only=False, **train_kw):
     kg = augment_inverse(toy_kg(rng, 8, 3, 20))
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
-    enc = EncoderConfig(dim=8, kg_layers=1, prox_layers=1, kg_only=kg_only)
-    dec = DecoderConfig(dim=8, n_filters=4, kernel=2, dropout_input=0.0,
-                        dropout_feature=0.0, dropout_hidden=0.0, label_smoothing=0.1)
-    defaults = dict(batch_size=16, learning_rate=1e-2, epochs=3,
-                    edge_drop_rate=0.1, seed=5, allow_off_grid=True)
-    defaults.update(train_kw)
-    trn = TrainConfig(**defaults)
+    enc, dec, trn = make_configs({**TOY_SETTINGS, "kg_only": kg_only, **train_kw})
     return kg, pgraph, enc, dec, trn
+
+
+def test_make_configs_routes_keys_to_every_config():
+    enc, dec, trn = make_configs(TOY_SETTINGS)
+    assert enc == EncoderConfig(dim=8, kg_layers=1, prox_layers=1)
+    assert dec == DecoderConfig(dim=8, n_filters=4, kernel=2, dropout_input=0.0,
+                                dropout_feature=0.0, dropout_hidden=0.0, label_smoothing=0.1)
+    assert trn == TrainConfig(batch_size=16, learning_rate=1e-2, epochs=3, edge_drop_rate=0.1,
+                              seed=5, label_smoothing=0.1, allow_off_grid=True)
+    # shared keys reach both configs that have them; absent keys keep the field defaults
+    enc, dec, trn = make_configs({"dim": 12, "label_smoothing": 0.3, "out_dir": "ignored"})
+    assert (enc.dim, dec.dim, (dec.reshape_h, dec.reshape_w)) == (12, 12, (3, 4))
+    assert dec.label_smoothing == trn.label_smoothing == 0.3
+    assert enc == EncoderConfig(dim=12)
+    assert trn == TrainConfig(label_smoothing=0.3)
+
+
+@pytest.mark.parametrize("bad", [{"kg_layers": 4}, {"kernel": 99}, {"optimizer": "rmsprop"}])
+def test_make_configs_validates_each_config(bad):
+    with pytest.raises(ContractError):
+        make_configs({**TOY_SETTINGS, **bad})
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5])
+def test_train_config_rejects_label_smoothing_outside_unit_interval(eps):
+    with pytest.raises(ContractError):
+        TrainConfig(label_smoothing=eps).validate()
 
 
 def test_train_config_grid_validation():
@@ -166,6 +194,27 @@ def test_checkpoint_header_fields(tmp_path, rng):
     assert not any(k.startswith("opt.") for k in params)
 
 
+class _FailingBlob:
+    """Array stand-in whose conversion to float64 fails midway through a checkpoint write."""
+    shape = (2,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("disk full")
+
+
+def test_checkpoint_write_is_atomic(tmp_path):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    path = tmp_path / "ckpt.bin"
+    trainer.save(path)
+    before = path.read_bytes()
+    trainer.params["entity_embed"].data = _FailingBlob()
+    with pytest.raises(OSError, match="disk full"):
+        trainer.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -213,19 +262,22 @@ def test_checkpoint_unknown_version(tmp_path, checkpoint_bytes):
         load_checkpoint(path)
 
 
+GRID_SETTINGS = {**TOY_SETTINGS, "epochs": 1}
+
+
 def test_grid_search_single_and_seeds(rng):
     kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1)
     kg2 = kg  # has valid? toy_kg has no valid; use train-only grid with nan mrr
-    result = grid_search(kg2, {"M": [4]}, enc, dec, trn)
+    result = grid_search(kg2, {"M": [4]}, GRID_SETTINGS)
     assert len(result["trials"]) == 1
     assert result["complete"]
-    result2 = grid_search(kg2, {"seed": [1, 2]}, enc, dec, trn)
+    result2 = grid_search(kg2, {"seed": [1, 2]}, GRID_SETTINGS)
     assert {row["seed"] for row in result2["trials"]} == {1, 2}
 
 
 def test_grid_search_budget_flag(rng):
     kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1)
-    result = grid_search(kg, {"seed": [1, 2, 3]}, enc, dec, trn, budget=2)
+    result = grid_search(kg, {"seed": [1, 2, 3]}, GRID_SETTINGS, budget=2)
     assert len(result["trials"]) == 2
     assert not result["complete"]
 
@@ -233,7 +285,45 @@ def test_grid_search_budget_flag(rng):
 def test_grid_search_rejects_key_it_does_not_vary(rng):
     kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1)
     with pytest.raises(ContractError):
-        grid_search(kg, {"seed": [1], "dropout_input": [0.1, 0.2]}, enc, dec, trn)
+        grid_search(kg, {"seed": [1], "dropout_input": [0.1, 0.2]}, GRID_SETTINGS)
+
+
+def test_grid_search_starts_from_run_settings(rng):
+    kg = toy_pipeline(rng)[0]
+    result = grid_search(kg, {"seed": [1]}, {**GRID_SETTINGS, "M": 3, "I": 0.5})
+    assert [(row["M"], row["I"], row["seed"]) for row in result["trials"]] == [(3, 0.5, 1)]
+    result = grid_search(kg, {"seed": [1], "M": [4]}, {**GRID_SETTINGS, "M": 3})
+    assert [(row["M"], row["I"]) for row in result["trials"]] == [(4, 1.0)]
+
+
+def test_grid_search_trial_matches_run_of_its_settings(rng):
+    kg = toy_pipeline(rng)[0]
+    seen = []
+    real_train = Trainer.train
+
+    def record(self, *args, **kwargs):
+        seen.append((self.encoder_config, self.decoder_config, self.train_config))
+        return real_train(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training.Trainer, "train", record)
+        grid_search(kg, {"dim": [6], "learning_rate": [0.5]}, {**GRID_SETTINGS, "kg_only": True})
+    enc, dec, trn = make_configs({**GRID_SETTINGS, "kg_only": True, "dim": 6,
+                                  "learning_rate": 0.5})
+    assert seen == [(enc, dec, trn)]
+    assert (dec.reshape_h, dec.reshape_w) == (2, 3)
+
+
+def test_grid_search_validates_every_trial_before_training(rng):
+    kg = toy_pipeline(rng)[0]
+
+    def fail(self, *args, **kwargs):
+        raise AssertionError("a trial trained before the grid was validated")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training.Trainer, "train", fail)
+        with pytest.raises(ContractError):
+            grid_search(kg, {"kg_layers": [1, 4]}, GRID_SETTINGS)
 
 
 def test_grid_M_changes_spm(rng):
@@ -249,7 +339,7 @@ def test_grid_M_changes_spm(rng):
 
 def test_write_trial_table(tmp_path, rng):
     kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1)
-    result = grid_search(kg, {"seed": [1, 2, 3]}, enc, dec, trn, budget=2)
+    result = grid_search(kg, {"seed": [1, 2, 3]}, GRID_SETTINGS, budget=2)
     path = tmp_path / "trials.tsv"
     write_trial_table(result, path)
     text = path.read_text()
