@@ -119,27 +119,20 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _load_kg_arg(cfg) -> KnowledgeGraph:
-    path = cfg.get("kg_path") or os.path.join(cfg.get("out_dir", "."), "kg.npz")
-    if not os.path.exists(path):
-        raise DataError(f"knowledge graph artifact not found: {path}")
-    return load_kg(path)
-
-
 def _load_run(args) -> tuple[dict, KnowledgeGraph]:
     """The run's settings and its knowledge graph, augmented with inverse relations."""
     cfg = load_run_config(args)
-    kg = _load_kg_arg(cfg)
+    path = cfg.get("kg_path") or os.path.join(cfg.get("out_dir", "."), "kg.npz")
+    if not os.path.exists(path):
+        raise DataError(f"knowledge graph artifact not found: {path}")
+    kg = load_kg(path)
     return cfg, kg if kg.augmented else augment_inverse(kg)
 
 
 def cmd_build_proximity(args) -> int:
-    cfg = load_run_config(args)
-    kg = _load_kg_arg(cfg)
+    cfg, kg = _load_run(args)
     M, I = proximity_settings(cfg)
-    index = extract_qa_pairs(kg)
-    spm = accumulate_spm(index, M)
-    graph = build_proximity_graph(spm, I, kg.n_entities)
+    graph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), M), I, kg.n_entities)
     out = _out_dir(cfg)
     save_proximity_graph(graph, os.path.join(out, "proximity_graph.bin"))
     export_proximity_tsv(graph, os.path.join(out, "proximity_graph.tsv"))
@@ -154,7 +147,7 @@ def cmd_build_proximity(args) -> int:
 
 def _load_pgraph(cfg, kg, enc):
     if enc.kg_only:
-        return None, None
+        return None
     path = cfg.get("pgraph_path") or os.path.join(cfg.get("out_dir", "."), "proximity_graph.bin")
     if not os.path.exists(path):
         raise DataError(f"proximity graph artifact not found: {path}")
@@ -166,13 +159,13 @@ def _load_pgraph(cfg, kg, enc):
             f"proximity graph was built with I={graph.threshold}, run configures I={cfg['I']}")
     if graph.n_entities != kg.n_entities:
         raise DataError("proximity graph entity count does not match the knowledge graph")
-    return graph, path
+    return graph
 
 
 def cmd_train(args) -> int:
     cfg, kg = _load_run(args)
     enc, dec, trn = make_configs(cfg)
-    pgraph, _ = _load_pgraph(cfg, kg, enc)
+    pgraph = _load_pgraph(cfg, kg, enc)
     out = _out_dir(cfg)
     ckpt_path = _checkpoint_path(cfg)
     if not os.path.isdir(os.path.dirname(ckpt_path) or "."):
@@ -196,8 +189,8 @@ def _checkpoint_setup(cfg, kg):
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     params, enc, dec = params_from_checkpoint(path)
-    pgraph, _ = _load_pgraph(cfg, kg, enc)
-    prox = None if enc.kg_only else ProximityAdjacency(pgraph)
+    pgraph = _load_pgraph(cfg, kg, enc)
+    prox = None if pgraph is None else ProximityAdjacency(pgraph)
     return params, enc, dec, prox
 
 

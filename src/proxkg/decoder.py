@@ -42,7 +42,6 @@ class DecoderConfig:
     dropout_input: float = 0.2
     dropout_feature: float = 0.2
     dropout_hidden: float = 0.3
-    label_smoothing: float = 0.1
 
     def __post_init__(self):
         if self.reshape_h == 0 or self.reshape_w == 0:
@@ -55,8 +54,6 @@ class DecoderConfig:
         if self.kernel > min(2 * self.reshape_h, self.reshape_w):
             raise ContractError(
                 f"kernel {self.kernel} exceeds stacked input {2 * self.reshape_h}x{self.reshape_w}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ContractError("label smoothing must be in [0,1)")
 
     @property
     def conv_out_hw(self) -> tuple[int, int]:

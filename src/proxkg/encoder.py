@@ -128,11 +128,7 @@ class ProximityAdjacency:
         self.dst = dst[order]
         self.n_entities = graph.n_entities
         weights = np.concatenate([graph.edges["w"], graph.edges["w"]])[order]
-        seg_max = np.full(graph.n_entities, -np.inf)
-        np.maximum.at(seg_max, self.dst, weights)
-        ex = np.exp(weights - seg_max[self.dst])
-        denom = np.bincount(self.dst, weights=ex, minlength=graph.n_entities)
-        self.alpha = ex / denom[self.dst]
+        self.alpha = ad.segment_softmax(Tensor(weights), self.dst, graph.n_entities).data
 
 
 def gp_layer(entities: Tensor, prox: ProximityAdjacency, W: Tensor) -> Tensor:

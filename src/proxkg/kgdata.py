@@ -28,9 +28,11 @@ class ContractError(Exception):
 class Vocabulary:
     """Dense interning of surface strings; first-seen order is preserved."""
 
-    def __init__(self):
+    def __init__(self, surfaces=()):
         self._to_id: dict[str, int] = {}
         self._to_surface: list[str] = []
+        for surface in surfaces:
+            self.intern(surface)
 
     def intern(self, surface: str) -> int:
         idx = self._to_id.get(surface)
@@ -147,25 +149,19 @@ def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
     if kg.augmented:
         raise ContractError("knowledge graph is already augmented")
     n_r = kg.n_relations
-    relations = Vocabulary()
-    for surface in kg.relations.surfaces():
-        relations.intern(surface)
+    relations = Vocabulary(kg.relations.surfaces())
     for surface in kg.relations.surfaces():
         inv = surface + INVERSE_SUFFIX
         if inv in relations:
             raise DataError(f"inverse name collision: {inv!r} already exists")
         relations.intern(inv)
 
-    if len(kg.train):
-        inverse = kg.train[:, [2, 1, 0]].copy()
-        inverse[:, 1] += n_r
-        train = np.concatenate([kg.train, inverse], axis=0)
-    else:
-        train = kg.train
+    inverse = kg.train[:, [2, 1, 0]]
+    inverse[:, 1] += n_r
     return KnowledgeGraph(
         kg.entities,
         relations,
-        train,
+        np.concatenate([kg.train, inverse]),
         kg.valid,
         kg.test,
         augmented=True,
@@ -181,6 +177,20 @@ def answer_keys(triples: np.ndarray, n_relations: int, n_entities: int) -> np.nd
     answers of one query form one contiguous run of a sorted key array.
     """
     return (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
+
+
+def query_answers(triples: np.ndarray, n_relations: int,
+                  n_entities: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (anchor, relation) queries of a triple set with their answers, as CSR arrays.
+
+    Returns ``(queries, offsets, answers)``: ``queries`` is [Q, 2] sorted by
+    (anchor, relation), and query q's distinct answers, ascending, are
+    ``answers[offsets[q]:offsets[q + 1]]``.
+    """
+    query, answers = np.divmod(np.unique(answer_keys(triples, n_relations, n_entities)), n_entities)
+    unique_query, starts = np.unique(query, return_index=True)
+    queries = np.stack(np.divmod(unique_query, n_relations), axis=1)
+    return queries, np.append(starts, len(answers)), answers
 
 
 def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.ndarray:
@@ -234,16 +244,10 @@ def load_kg(path) -> KnowledgeGraph:
     """
     try:
         with np.load(path, allow_pickle=False) as z:
-            entities = Vocabulary()
-            for s in z["entities"]:
-                entities.intern(str(s))
-            relations = Vocabulary()
-            for s in z["relations"]:
-                relations.intern(str(s))
             num_raw = int(z["num_raw_relations"][0])
             return KnowledgeGraph(
-                entities,
-                relations,
+                Vocabulary(z["entities"].tolist()),
+                Vocabulary(z["relations"].tolist()),
                 z["train"].astype(np.int64).reshape(-1, 3),
                 z["valid"].astype(np.int64).reshape(-1, 3),
                 z["test"].astype(np.int64).reshape(-1, 3),

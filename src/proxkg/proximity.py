@@ -10,12 +10,13 @@ an undirected weighted proximity graph.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
-from .kgdata import ContractError, DataError, KnowledgeGraph
+from .kgdata import ContractError, DataError, KnowledgeGraph, augment_inverse, query_answers
 
 HEAD_QUERY = 0  # (?, r, t): anchor is the tail
 TAIL_QUERY = 1  # (h, r, ?): anchor is the head
@@ -26,31 +27,47 @@ _HEADER = struct.Struct("<IQdIQ")  # version, n_entities, threshold, M, n_edges
 EDGE_DTYPE = np.dtype([("i", "<u8"), ("j", "<u8"), ("w", "<f8")])
 
 
-@dataclass
-class QAPair:
-    direction: int
-    anchor: int
-    relation: int
-    answers: frozenset[int]
+QAPair = namedtuple("QAPair", "direction anchor relation answers")
 
 
 @dataclass
 class QAPairIndex:
-    pairs: list[QAPair]
+    """QA pairs as CSR arrays; pair q's distinct answers are answers[offsets[q]:offsets[q + 1]]."""
+
+    queries: np.ndarray   # [Q, 3] (direction, anchor, raw relation)
+    offsets: np.ndarray
+    answers: np.ndarray   # ascending within each pair
 
     def total_answers(self) -> int:
-        return sum(len(p.answers) for p in self.pairs)
+        return len(self.answers)
+
+    @property
+    def pairs(self) -> tuple[QAPair, ...]:
+        """Read-only QAPair view of the arrays, built on each access."""
+        answers, offsets = self.answers.tolist(), self.offsets.tolist()
+        return tuple(QAPair(d, a, r, frozenset(answers[lo:hi]))
+                     for (d, a, r), lo, hi in zip(self.queries.tolist(), offsets, offsets[1:]))
 
 
 @dataclass
 class SPMMatrix:
-    """Sparse accumulated proximity keyed by unordered entity pair (i, j), i < j."""
+    """Accumulated proximity as EDGE_DTYPE (i, j, w) ``records``, i < j, sorted by (i, j)."""
 
-    entries: dict[tuple[int, int], float]
+    records: np.ndarray
     M: int
 
     def get(self, i: int, j: int) -> float:
-        return self.entries.get((min(i, j), max(i, j)), 0.0)
+        i, j = min(i, j), max(i, j)
+        r = self.records
+        lo, hi = np.searchsorted(r["i"], i, "left"), np.searchsorted(r["i"], i, "right")
+        k = lo + np.searchsorted(r["j"][lo:hi], j)
+        return float(r["w"][k]) if k < hi and r["j"][k] == j else 0.0
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """Read-only ``{(i, j): w}`` view of the records, built on each access."""
+        r = self.records
+        return MappingProxyType(dict(zip(zip(r["i"].tolist(), r["j"].tolist()), r["w"].tolist())))
 
 
 @dataclass
@@ -78,70 +95,80 @@ class ProximityGraph:
 def extract_qa_pairs(kg: KnowledgeGraph) -> QAPairIndex:
     """One QA pair per distinct (direction, anchor, relation) over raw train triples.
 
-    Each train triple lands in exactly two pairs, one per query direction,
-    so the answer multiset (before set dedup) totals 2x the train count.
+    These are the augmented split's train queries, relation r + n_raw being
+    the head query (?, r, t), in the order they first appear there. Each
+    train triple lands in two pairs, so the answers total 2x the train count.
     """
     if len(kg.raw_train()) == 0:
         raise ContractError("QA-pair extraction requires a non-empty train split")
-    tail_answers: dict[tuple[int, int], set[int]] = {}
-    head_answers: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in kg.raw_train():
-        tail_answers.setdefault((int(h), int(r)), set()).add(int(t))
-        head_answers.setdefault((int(t), int(r)), set()).add(int(h))
+    if not kg.augmented:
+        kg = augment_inverse(kg)
+    n_rel, n_raw = kg.n_relations, kg.num_raw_relations
+    queries, offsets, answers = query_answers(kg.train, n_rel, kg.n_entities)
+    _, first_row = np.unique(kg.train[:, 0] * n_rel + kg.train[:, 1], return_index=True)
+    order = np.argsort(first_row)
+    sizes = np.diff(offsets)[order]
+    new_offsets = np.append(0, np.cumsum(sizes))
+    answers = answers[np.repeat(offsets[order] - new_offsets[:-1], sizes) + np.arange(len(answers))]
+    anchor, rel = queries[order].T
+    direction = np.where(rel >= n_raw, HEAD_QUERY, TAIL_QUERY)
+    return QAPairIndex(np.stack([direction, anchor, rel % n_raw], axis=1), new_offsets, answers)
 
-    pairs = [QAPair(TAIL_QUERY, anchor, rel, frozenset(answers))
-             for (anchor, rel), answers in tail_answers.items()]
-    pairs += [QAPair(HEAD_QUERY, anchor, rel, frozenset(answers))
-              for (anchor, rel), answers in head_answers.items()]
-    return QAPairIndex(pairs)
 
-
-def pm(M: int, answer_set_size: int) -> float:
-    """Pairwise proximity contributed by one query with the given answer-set size.
+def pm(M: int, answer_set_size):
+    """Pairwise proximity contributed by one query with the given answer-set size(s).
 
     Equals 1 for two answers, decays linearly, and is 0 once the set
     reaches the cutoff size M.
     """
     if M <= 2:
         raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
-    if answer_set_size < 2:
+    size = np.asarray(answer_set_size)
+    if np.any(size < 2):
         raise ContractError("pairwise proximity needs at least two answers")
-    return max(M - answer_set_size, 0) / (M - 2)
+    return np.maximum(M - size, 0) / (M - 2)
 
 
 def accumulate_spm(index: QAPairIndex, M: int) -> SPMMatrix:
-    """Sum per-query proximity over all QA pairs into a sparse symmetric map.
+    """Sum per-query proximity over all QA pairs into sorted (i, j, w) records.
 
     Queries with answer sets of size >= M contribute exactly zero and are
-    skipped before enumerating their quadratic pair set.
+    skipped before enumerating their quadratic pair set. Each pair's weight
+    is summed from 0.0 in index order, one query at a time.
     """
-    if M <= 2:
-        raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
-    entries: dict[tuple[int, int], float] = {}
-    for pair in index.pairs:
-        size = len(pair.answers)
-        if size < 2 or size >= M:
-            continue
-        value = pm(M, size)
-        for a, b in combinations(sorted(pair.answers), 2):
-            key = (a, b)
-            entries[key] = entries.get(key, 0.0) + value
-    return SPMMatrix(entries, M)
+    sizes = np.diff(index.offsets)
+    n_q = len(sizes)
+    loaded = (sizes >= 2) & (sizes < M)
+    value = np.zeros(n_q)
+    value[loaded] = pm(M, sizes[loaded])     # also rejects M <= 2
+    n = int(index.answers.max()) + 1 if len(index.answers) else 1
+    if n * n * n_q >= 2 ** 63:
+        raise ContractError(f"{n} entities and {n_q} queries overflow int64 pair keys")
+    # one key (i * n + j) * n_q + q per pair increment sorts by pair, then by query
+    keys = [np.empty(0, np.int64)]
+    for size in np.unique(sizes[loaded]).tolist():
+        q = np.flatnonzero(sizes == size)
+        block = index.answers[index.offsets[q, None] + np.arange(size)]
+        a, b = np.triu_indices(size, 1)
+        keys.append(((block[:, a] * n + block[:, b]) * n_q + q[:, None]).ravel())
+    keys = np.concatenate(keys)
+    keys.sort()
+    weights = value[keys % n_q]
+    keys //= n_q
+    first = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    records = np.empty(int(first.sum()), EDGE_DTYPE)
+    records["i"], records["j"] = np.divmod(keys[first], n)
+    # bincount adds in input order, so each pair sums its queries in index order
+    records["w"] = np.bincount(np.cumsum(first) - 1, weights=weights)
+    return SPMMatrix(records, M)
 
 
 def build_proximity_graph(spm: SPMMatrix, threshold: float, n_entities: int) -> ProximityGraph:
     """Connect an undirected edge wherever the accumulated value strictly exceeds the threshold."""
     if threshold < 0:
         raise ContractError(f"threshold must be non-negative, got {threshold}")
-    n = len(spm.entries)
-    pairs = np.fromiter(spm.entries, dtype=np.dtype((np.uint64, 2)), count=n)
-    weights = np.fromiter(spm.entries.values(), dtype=np.float64, count=n)
-    keep = weights > threshold
-    i, j, w = pairs[keep, 0], pairs[keep, 1], weights[keep]
-    order = np.lexsort((j, i))
-    edges = np.empty(len(order), EDGE_DTYPE)
-    edges["i"], edges["j"], edges["w"] = i[order], j[order], w[order]
-    return ProximityGraph(n_entities, threshold, spm.M, edges)
+    return ProximityGraph(n_entities, threshold, spm.M, spm.records[spm.records["w"] > threshold])
 
 
 def proximity_stats(graph: ProximityGraph) -> dict:

@@ -15,12 +15,7 @@ from .kgdata import KnowledgeGraph, Vocabulary
 
 
 def _make_kg(train, valid, test, entities, relations) -> KnowledgeGraph:
-    ev = Vocabulary()
-    for e in entities:
-        ev.intern(e)
-    rv = Vocabulary()
-    for r in relations:
-        rv.intern(r)
+    ev, rv = Vocabulary(entities), Vocabulary(relations)
 
     def enc(triples):
         return np.asarray(
@@ -39,15 +34,6 @@ def random_kg(rng: np.random.Generator, n_entities: int, n_relations: int,
     entities = [f"e{i}" for i in range(n_entities)]
     relations = [f"r{i}" for i in range(n_relations)]
     seen = set()
-    train = []
-    while len(train) < n_train:
-        h, t = rng.integers(n_entities, size=2)
-        r = rng.integers(n_relations)
-        key = (int(h), int(r), int(t))
-        if key in seen:
-            continue
-        seen.add(key)
-        train.append((entities[h], relations[r], entities[t]))
 
     def draw(n):
         out = []
@@ -61,7 +47,7 @@ def random_kg(rng: np.random.Generator, n_entities: int, n_relations: int,
             out.append((entities[h], relations[r], entities[t]))
         return out
 
-    return _make_kg(train, draw(n_valid), draw(n_test), entities, relations)
+    return _make_kg(draw(n_train), draw(n_valid), draw(n_test), entities, relations)
 
 
 def clustered_kg(rng: np.random.Generator, n_clusters: int = 7, cluster_size: int = 20,

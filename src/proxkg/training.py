@@ -8,6 +8,7 @@ keep every train answer, including dropped ones.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ from .autodiff import Tensor
 from .decoder import DecoderConfig, bce_loss, conve_score, init_decoder_params
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
                       encode, init_encoder_params)
-from .kgdata import ContractError, DataError, KnowledgeGraph, answer_keys, sample_edge_dropout
+from .kgdata import ContractError, DataError, KnowledgeGraph, query_answers, sample_edge_dropout
 from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph,
                         extract_qa_pairs)
 
@@ -40,7 +41,7 @@ GRID_KEYS = ("batch_size", "learning_rate", "dim", "kg_layers", "prox_layers",
              "edge_drop_rate", "M", "I", "seed", "epochs")
 
 _CKPT_MAGIC = b"PKCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2                   # 1 also stored an unused decoder_config.label_smoothing
 _CKPT_HEAD = struct.Struct("<IQ")    # version, JSON header length
 
 
@@ -84,8 +85,8 @@ def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainCon
     """Validated encoder, decoder and train configs from one flat ``key -> value`` dict.
 
     Each config takes the keys named like its fields, so a shared key such as
-    ``dim`` or ``label_smoothing`` reaches every config that has it; an absent
-    key keeps the field's default, and keys no config has are ignored.
+    ``dim`` reaches every config that has it; an absent key keeps the
+    field's default, and keys no config has are ignored.
     """
     configs = tuple(cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
                     for cls in (EncoderConfig, DecoderConfig, TrainConfig))
@@ -95,8 +96,13 @@ def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainCon
 
 
 def proximity_settings(settings: dict) -> tuple[int, float]:
-    """The answer-set cutoff M and the edge threshold I of a run."""
-    return int(settings.get("M", 50)), float(settings.get("I", 1.0))
+    """The answer-set cutoff M (> 2) and the edge threshold I (>= 0) of a run."""
+    M, I = int(settings.get("M", 50)), float(settings.get("I", 1.0))
+    if M <= 2:
+        raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
+    if I < 0:
+        raise ContractError(f"threshold I must be non-negative, got {I}")
+    return M, I
 
 
 @dataclass
@@ -109,11 +115,8 @@ def train_query_table(kg: KnowledgeGraph) -> tuple[np.ndarray, list[np.ndarray]]
     """Unique (anchor, relation) queries of the augmented train split with their answers."""
     if not kg.augmented:
         raise ContractError("training requires an augmented knowledge graph")
-    query, answers = np.divmod(np.unique(answer_keys(kg.train, kg.n_relations, kg.n_entities)),
-                               kg.n_entities)
-    unique_query, starts = np.unique(query, return_index=True)
-    queries = np.stack(np.divmod(unique_query, kg.n_relations), axis=1)
-    return queries, np.split(answers, starts)[1:]
+    queries, offsets, answers = query_answers(kg.train, kg.n_relations, kg.n_entities)
+    return queries, np.split(answers, offsets[:-1])[1:]
 
 
 def build_batches(queries: np.ndarray, answer_lists: list[np.ndarray], n_entities: int,
@@ -243,7 +246,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         if len(head) != _CKPT_HEAD.size:
             raise DataError(f"truncated checkpoint header in {path}")
         version, hlen = _CKPT_HEAD.unpack(head)
-        if version != _CKPT_VERSION:
+        if version not in (1, _CKPT_VERSION):
             raise ContractError(f"unsupported checkpoint version {version}")
         raw = fh.read(hlen)
         if len(raw) != hlen:
@@ -252,6 +255,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             header = json.loads(raw.decode())
         except ValueError as exc:
             raise DataError(f"damaged checkpoint header in {path}: {exc}") from None
+        header["decoder_config"].pop("label_smoothing", None)   # only version 1 stored it
         blobs = {}
         for spec in header["blobs"]:
             shape = tuple(spec["shape"])
@@ -399,9 +403,9 @@ def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,
 
     Every grid key must be one of GRID_KEYS. Each trial is configured by
     ``make_configs`` and ``proximity_settings`` from the run's flat settings
-    overridden by its grid cell; every trial's configs are built and
-    validated before the first one trains. Proximity artifacts are cached
-    per M and per (M, I) across trials.
+    overridden by its grid cell; every trial's configs, M and I are built
+    and validated before the first one trains. Proximity artifacts are
+    cached per M and per (M, I) across trials.
     """
     unknown = sorted(set(grid) - set(GRID_KEYS))
     if unknown:
@@ -412,23 +416,14 @@ def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,
     if budget is not None:
         cells = cells[:budget]
     runs = [{**settings, **cell} for cell in cells]
-    configs = [make_configs(run) for run in runs]
+    checked = [(make_configs(run), proximity_settings(run)) for run in runs]
 
     qa_index = extract_qa_pairs(kg)
-    spm_cache: dict[int, object] = {}
-    pgraph_cache: dict[tuple[int, float], ProximityGraph] = {}
+    spm = functools.cache(lambda M: accumulate_spm(qa_index, M))
+    pgraph = functools.cache(lambda M, I: build_proximity_graph(spm(M), I, kg.n_entities))
     trials = []
-    for cell, run, (enc, dec, trn) in zip(cells, runs, configs):
-        M, I = proximity_settings(run)
-        if enc.kg_only:
-            pgraph = None
-        else:
-            if M not in spm_cache:
-                spm_cache[M] = accumulate_spm(qa_index, M)
-            if (M, I) not in pgraph_cache:
-                pgraph_cache[(M, I)] = build_proximity_graph(spm_cache[M], I, kg.n_entities)
-            pgraph = pgraph_cache[(M, I)]
-        trainer = Trainer(kg, pgraph, enc, dec, trn)
+    for cell, ((enc, dec, trn), (M, I)) in zip(cells, checked):
+        trainer = Trainer(kg, None if enc.kg_only else pgraph(M, I), enc, dec, trn)
         trainer.train()
         mrr = trainer.valid_mrr() if len(kg.valid) else float("nan")
         trials.append({**cell, "M": M, "I": I, "seed": trn.seed, "valid_mrr": mrr})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxkg.kgdata import KnowledgeGraph, Vocabulary
+from proxkg.proximity import EDGE_DTYPE
 
 
 def write_triples(path, triples):
@@ -21,6 +22,11 @@ def kg_from_triples(train, valid=(), test=()):
 
     tr, va, te = enc(train), enc(valid), enc(test)
     return KnowledgeGraph(entities, relations, tr, va, te)
+
+
+def spm_records(entries):
+    """SPMMatrix records of an ``{(i, j): w}`` dict, sorted by (i, j)."""
+    return np.array(sorted((i, j, w) for (i, j), w in entries.items()), dtype=EDGE_DTYPE)
 
 
 @pytest.fixture

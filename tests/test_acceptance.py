@@ -234,7 +234,7 @@ def test_criterion_7_overfit_sanity():
                                    0.0, kg.n_entities)
     enc = EncoderConfig(dim=32, kg_layers=1, prox_layers=1, weight_scheme="attention")
     dec = DecoderConfig(dim=32, n_filters=8, kernel=3, dropout_input=0.0,
-                        dropout_feature=0.0, dropout_hidden=0.0, label_smoothing=0.0)
+                        dropout_feature=0.0, dropout_hidden=0.0)
     trn = TrainConfig(batch_size=64, learning_rate=5e-3, optimizer="adam",
                       epochs=200, edge_drop_rate=0.1, label_smoothing=0.0,
                       seed=0, allow_off_grid=True)
@@ -268,8 +268,7 @@ def test_criterion_8_ablation_direction():
             enc = EncoderConfig(dim=32, kg_layers=1, prox_layers=2,
                                 weight_scheme="attention", kg_only=kg_only)
             dec = DecoderConfig(dim=32, n_filters=8, kernel=3, dropout_input=0.1,
-                                dropout_feature=0.1, dropout_hidden=0.2,
-                                label_smoothing=0.1)
+                                dropout_feature=0.1, dropout_hidden=0.2)
             trn = TrainConfig(batch_size=256, learning_rate=1e-3, optimizer="adam",
                               epochs=300, edge_drop_rate=0.1, seed=seed,
                               allow_off_grid=True)

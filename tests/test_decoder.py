@@ -53,8 +53,6 @@ def test_config_validation():
         DecoderConfig(dim=8, reshape_h=3, reshape_w=3).validate()
     with pytest.raises(ContractError):
         DecoderConfig(dim=8, kernel=5).validate()  # stacked input is 4x4
-    with pytest.raises(ContractError):
-        DecoderConfig(dim=8, label_smoothing=1.0).validate()
 
 
 def test_zero_weights_score_half(rng):

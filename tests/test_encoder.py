@@ -10,7 +10,7 @@ from proxkg.kgdata import ContractError, augment_inverse
 from proxkg.proximity import (SPMMatrix, accumulate_spm, build_proximity_graph,
                               extract_qa_pairs)
 from proxkg.synth import random_kg
-from conftest import kg_from_triples
+from conftest import kg_from_triples, spm_records
 
 
 def naive_compose(e, r, mode, params):
@@ -155,7 +155,7 @@ def test_gp_layer_zero_transform_identity(rng):
 
 def test_gp_layer_equal_neighbors(rng):
     # node 0 has two neighbors with equal weight and equal embeddings v
-    graph = build_proximity_graph(SPMMatrix({(0, 1): 2.0, (0, 2): 2.0}, 4), 0.0, 3)
+    graph = build_proximity_graph(SPMMatrix(spm_records({(0, 1): 2.0, (0, 2): 2.0}), 4), 0.0, 3)
     v = rng.uniform(-1, 1, 4)
     E = np.stack([rng.uniform(-1, 1, 4), v, v])
     W = rng.uniform(-1, 1, (4, 4))
@@ -231,8 +231,8 @@ def test_encode_entity_permutation_equivariance(rng):
     triples_p[:, 0] = perm[triples_p[:, 0]]
     triples_p[:, 2] = perm[triples_p[:, 2]]
     adj_p = RelationalAdjacency(triples_p, None, kg.n_entities)
-    spm_p = SPMMatrix({(min(perm[i], perm[j]), max(perm[i], perm[j])): w
-                       for i, j, w in pgraph.edges.tolist()}, pgraph.M)
+    spm_p = SPMMatrix(spm_records({(min(perm[i], perm[j]), max(perm[i], perm[j])): w
+                                   for i, j, w in pgraph.edges.tolist()}), pgraph.M)
     pgraph_p = build_proximity_graph(spm_p, pgraph.threshold, kg.n_entities)
     E_enc_p, _ = encode(params_p, adj_p, ProximityAdjacency(pgraph_p), config)
     assert np.max(np.abs(E_enc_p.data[perm] - E_enc.data)) < 1e-10

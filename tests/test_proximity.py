@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxkg.kgdata import ContractError, DataError
-from proxkg.proximity import (HEAD_QUERY, TAIL_QUERY, QAPair, QAPairIndex,
+from proxkg.kgdata import ContractError, DataError, augment_inverse
+from proxkg.proximity import (HEAD_QUERY, TAIL_QUERY, QAPairIndex,
                               SPMMatrix, accumulate_spm, build_proximity_graph,
                               export_proximity_tsv, extract_qa_pairs,
                               load_proximity_graph, pm, proximity_stats,
                               save_proximity_graph)
 from proxkg.synth import random_kg
-from conftest import kg_from_triples
+from conftest import kg_from_triples, spm_records
 
 
 def brute_force_spm(index, M):
@@ -27,6 +27,25 @@ def brute_force_spm(index, M):
         for a, b in combinations(answers, 2):
             entries[(a, b)] = entries.get((a, b), 0.0) + value
     return {k: v for k, v in entries.items() if v > 0.0}
+
+
+def dict_spm(kg, M):
+    """Reference: the dict-of-sets extraction and dict accumulation, as sorted records.
+
+    Each pair sums its queries in dict insertion order: tail queries, then
+    head queries, each in order of first appearance in the raw train split.
+    """
+    tail_answers, head_answers = {}, {}
+    for h, r, t in kg.raw_train().tolist():
+        tail_answers.setdefault((h, r), set()).add(t)
+        head_answers.setdefault((t, r), set()).add(h)
+    entries = {}
+    for answers in [*tail_answers.values(), *head_answers.values()]:
+        if 2 <= len(answers) < M:
+            value = pm(M, len(answers))
+            for key in combinations(sorted(answers), 2):
+                entries[key] = entries.get(key, 0.0) + value
+    return spm_records(entries)
 
 
 def test_extract_qa_pairs_toy():
@@ -66,7 +85,8 @@ def test_pm_rejects_bad_cutoff():
     with pytest.raises(ContractError):
         pm(2, 5)
     with pytest.raises(ContractError):
-        accumulate_spm(QAPairIndex([]), 2)
+        accumulate_spm(QAPairIndex(np.empty((0, 3), np.int64), np.zeros(1, np.int64),
+                                   np.empty(0, np.int64)), 2)
 
 
 @given(M=st.integers(3, 1000), size=st.integers(2, 2000))
@@ -79,9 +99,8 @@ def test_pm_bounds_property(M, size):
 
 def test_accumulate_spm_worked_example():
     # q1 -> {a, b}, q2 -> {a, b, c}, M=4: ab = 1 + 0.5, ac = bc = 0.5
-    pairs = [QAPair(TAIL_QUERY, 10, 0, frozenset({0, 1})),
-             QAPair(TAIL_QUERY, 11, 0, frozenset({0, 1, 2}))]
-    index = QAPairIndex(pairs)
+    index = QAPairIndex(np.array([[TAIL_QUERY, 10, 0], [TAIL_QUERY, 11, 0]]),
+                        np.array([0, 2, 5]), np.array([0, 1, 0, 1, 2]))
     spm = accumulate_spm(index, 4)
     assert spm.get(0, 1) == pytest.approx(1.5)
     assert spm.get(0, 2) == pytest.approx(0.5)
@@ -90,12 +109,12 @@ def test_accumulate_spm_worked_example():
 
 
 def test_accumulate_spm_singleton_empty():
-    index = QAPairIndex([QAPair(TAIL_QUERY, 0, 0, frozenset({1}))])
+    index = QAPairIndex(np.array([[TAIL_QUERY, 0, 0]]), np.array([0, 1]), np.array([1]))
     assert accumulate_spm(index, 4).entries == {}
 
 
 def test_accumulate_spm_skips_large_sets():
-    index = QAPairIndex([QAPair(TAIL_QUERY, 0, 0, frozenset(range(10)))])
+    index = QAPairIndex(np.array([[TAIL_QUERY, 0, 0]]), np.array([0, 10]), np.arange(10))
     assert accumulate_spm(index, 5).entries == {}
 
 
@@ -115,17 +134,33 @@ def test_spm_matches_brute_force_oracle(M):
             assert fast[key] == pytest.approx(oracle[key], abs=1e-12)
 
 
+@pytest.mark.parametrize("M", [3, 4, 10, 50])
+def test_spm_records_equal_dict_pipeline(M):
+    rng = np.random.default_rng(100 + M)
+    kgs = [random_kg(rng, int(rng.integers(20, 60)), int(rng.integers(1, 5)), 150)
+           for _ in range(10)]
+    # a dense graph, its train triples fed in shuffled order: many queries of
+    # mixed sizes share each pair, so the summation order shows in the last bits
+    dense = random_kg(rng, 14, 6, 500)
+    dense.train = dense.train[rng.permutation(len(dense.train))]
+    for kg in kgs + [dense]:
+        want = dict_spm(kg, M)
+        assert accumulate_spm(extract_qa_pairs(kg), M).records.tobytes() == want.tobytes()
+        augmented = extract_qa_pairs(augment_inverse(kg))
+        assert accumulate_spm(augmented, M).records.tobytes() == want.tobytes()
+
+
 def test_build_graph_threshold_strict():
-    spm = SPMMatrix({(0, 1): 1.5, (0, 2): 0.5}, M=4)
+    spm = SPMMatrix(spm_records({(0, 1): 1.5, (0, 2): 0.5}), M=4)
     graph = build_proximity_graph(spm, 1.0, 3)
     assert graph.n_edges == 1
     assert graph.edges.tolist() == [(0, 1, 1.5)]
     # boundary: equality does not connect
-    assert build_proximity_graph(SPMMatrix({(0, 1): 0.5}, 4), 0.5, 2).n_edges == 0
+    assert build_proximity_graph(SPMMatrix(spm_records({(0, 1): 0.5}), 4), 0.5, 2).n_edges == 0
 
 
 def test_build_graph_empty():
-    assert build_proximity_graph(SPMMatrix({}, 4), 0.0, 5).n_edges == 0
+    assert build_proximity_graph(SPMMatrix(spm_records({}), 4), 0.0, 5).n_edges == 0
 
 
 def test_threshold_monotonicity(rng):
@@ -141,7 +176,7 @@ def test_threshold_monotonicity(rng):
 
 
 def test_proximity_stats():
-    spm = SPMMatrix({(0, 1): 1.5, (0, 2): 0.5}, M=4)
+    spm = SPMMatrix(spm_records({(0, 1): 1.5, (0, 2): 0.5}), M=4)
     graph = build_proximity_graph(spm, 1.0, 3)
     stats = proximity_stats(graph)
     assert stats["n_edges"] == 1
@@ -149,7 +184,7 @@ def test_proximity_stats():
     assert stats["degree_histogram"] == {"0": 1, "1": 2}
     degrees = sum(int(k) * v for k, v in stats["degree_histogram"].items())
     assert degrees == 2 * stats["n_edges"]
-    empty = proximity_stats(build_proximity_graph(SPMMatrix({}, 4), 0.0, 3))
+    empty = proximity_stats(build_proximity_graph(SPMMatrix(spm_records({}), 4), 0.0, 3))
     assert empty["n_edges"] == 0
     assert empty["isolated_entities"] == 3
 
@@ -173,7 +208,7 @@ def test_graph_serialization_round_trip(tmp_path, rng):
 
 
 def test_graph_tsv_export(tmp_path):
-    spm = SPMMatrix({(1, 2): 2.25, (0, 1): 1.5}, M=4)
+    spm = SPMMatrix(spm_records({(1, 2): 2.25, (0, 1): 1.5}), M=4)
     graph = build_proximity_graph(spm, 1.0, 3)
     path = tmp_path / "graph.tsv"
     export_proximity_tsv(graph, path)
@@ -207,7 +242,7 @@ def test_proximity_stats_weight_quantiles(rng):
 
 
 def _saved_graph(tmp_path):
-    graph = build_proximity_graph(SPMMatrix({(0, 1): 1.5, (1, 2): 2.0}, M=4), 1.0, 3)
+    graph = build_proximity_graph(SPMMatrix(spm_records({(0, 1): 1.5, (1, 2): 2.0}), M=4), 1.0, 3)
     path = tmp_path / "graph.bin"
     save_proximity_graph(graph, path)
     return path, path.read_bytes()

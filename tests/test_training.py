@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,13 +35,13 @@ def test_make_configs_routes_keys_to_every_config():
     enc, dec, trn = make_configs(TOY_SETTINGS)
     assert enc == EncoderConfig(dim=8, kg_layers=1, prox_layers=1)
     assert dec == DecoderConfig(dim=8, n_filters=4, kernel=2, dropout_input=0.0,
-                                dropout_feature=0.0, dropout_hidden=0.0, label_smoothing=0.1)
+                                dropout_feature=0.0, dropout_hidden=0.0)
     assert trn == TrainConfig(batch_size=16, learning_rate=1e-2, epochs=3, edge_drop_rate=0.1,
                               seed=5, label_smoothing=0.1, allow_off_grid=True)
     # shared keys reach both configs that have them; absent keys keep the field defaults
     enc, dec, trn = make_configs({"dim": 12, "label_smoothing": 0.3, "out_dir": "ignored"})
     assert (enc.dim, dec.dim, (dec.reshape_h, dec.reshape_w)) == (12, 12, (3, 4))
-    assert dec.label_smoothing == trn.label_smoothing == 0.3
+    assert not hasattr(dec, "label_smoothing") and trn.label_smoothing == 0.3
     assert enc == EncoderConfig(dim=12)
     assert trn == TrainConfig(label_smoothing=0.3)
 
@@ -255,6 +258,29 @@ def test_checkpoint_trailing_bytes_is_data_error(tmp_path, checkpoint_bytes):
         load_checkpoint(path)
 
 
+def test_checkpoint_version_1_restores(tmp_path):
+    """A version-1 file also stores decoder_config.label_smoothing; it loads without it."""
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    trainer.train()
+    path = tmp_path / "v2.bin"
+    trainer.save(path)
+    blob = path.read_bytes()
+    end = _json_header_end(blob)
+    header = json.loads(blob[16:end])
+    header["decoder_config"]["label_smoothing"] = 0.1
+    raw = json.dumps(header).encode()
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(b"PKCK" + struct.pack("<IQ", 1, len(raw)) + raw + blob[end:])
+
+    restored = Trainer.restore(v1, kg, pg)
+    assert restored.decoder_config == dec
+    for k, p in trainer.params.items():
+        assert np.array_equal(p.data, restored.params[k].data), k
+    assert restored.run_epoch() == trainer.run_epoch()
+    assert params_from_checkpoint(v1)[2] == dec
+
+
 def test_checkpoint_unknown_version(tmp_path, checkpoint_bytes):
     path = tmp_path / "v9.bin"
     path.write_bytes(checkpoint_bytes[:4] + (9).to_bytes(4, "little") + checkpoint_bytes[8:])
@@ -322,8 +348,9 @@ def test_grid_search_validates_every_trial_before_training(rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training.Trainer, "train", fail)
-        with pytest.raises(ContractError):
-            grid_search(kg, {"kg_layers": [1, 4]}, GRID_SETTINGS)
+        for grid in ({"kg_layers": [1, 4]}, {"M": [4, 2]}, {"I": [1.0, -0.5]}):
+            with pytest.raises(ContractError):
+                grid_search(kg, grid, GRID_SETTINGS)
 
 
 def test_grid_M_changes_spm(rng):
