@@ -6,12 +6,15 @@ differentiable op records a backward closure on the output tensor;
 order and accumulates gradients into every ``requires_grad`` leaf.
 
 Broadcasting is restricted to the numpy trailing-dimension rule; anything
-the model does not need is rejected early.
+the model does not need is rejected early. Message passing runs on two edge
+ops, ``edge_sum`` (an SpMM with a ``scipy.sparse`` CSR matrix) and
+``edge_dot`` (an SDDMM in fixed-size edge chunks), each the other's backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 DEFAULT_DTYPE = np.float64
 
@@ -300,16 +303,16 @@ def _scatter_rows(ids, rows, n):
     return out.astype(DEFAULT_DTYPE, copy=False).reshape((n,) + rows.shape[1:])
 
 
-def _row_ids(ids, table: Tensor) -> np.ndarray:
+def _row_ids(ids, n: int) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise IndexError("row id out of range")
     return ids
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Row lookup; backward scatter-adds into duplicate ids."""
-    ids = _row_ids(ids, table)
+    ids = _row_ids(ids, table.data.shape[0])
     out = table.data[ids]
 
     def bw(g):
@@ -318,41 +321,68 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), bw)
 
 
-def gather_dot(table: Tensor, ids, other: Tensor) -> Tensor:
-    """Row-wise dot of gathered rows with aligned rows: out[k] = <table[ids[k]], other[k]>.
+EDGE_CHUNK = 1024   # edges per block of _row_dots; its two [EDGE_CHUNK, d] row blocks stay in cache
 
-    Does the work of gather_rows -> mul -> tsum(axis=1) but holds only the
-    gathered rows for the backward pass, not three [k, d] graph nodes.
+
+def _row_dots(a, ia, b, ib) -> np.ndarray:
+    """out[k] = <a[ia[k]], b[ib[k]]>, gathering EDGE_CHUNK row pairs at a time."""
+    out = np.empty(len(ia), dtype=DEFAULT_DTYPE)
+    for s in range(0, len(ia), EDGE_CHUNK):
+        block = slice(s, s + EDGE_CHUNK)
+        out[block] = np.einsum("ij,ij->i", a[ia[block]], b[ib[block]])
+    return out
+
+
+def edge_sum(weights: Tensor, dst, src, x: Tensor, n: int) -> Tensor:
+    """out[i] = sum of weights[k] * x[src[k]] over the edges k with dst[k] = i.
+
+    An SpMM with the [n, len(x)] CSR matrix A holding weights[k] at
+    (dst[k], src[k]), which sums duplicate pairs. The backward is A^T @ g for
+    x and, only when the weights need a gradient, the per-edge row dot
+    <g[dst[k]], x[src[k]]> (an SDDMM, see edge_dot).
     """
-    ids = _row_ids(ids, table)
-    if table.data.ndim != 2 or other.data.shape != (len(ids), table.data.shape[1]):
-        raise ValueError("gather_dot expects a 2-d table and one aligned row per id")
-    rows = table.data[ids]
-    out = np.einsum("ij,ij->i", rows, other.data)
+    if x.data.ndim != 2:
+        raise ValueError("edge_sum expects a 2-d table")
+    dst, src = _row_ids(dst, n), _row_ids(src, x.data.shape[0])
+    if weights.data.shape != dst.shape or src.shape != dst.shape:
+        raise ValueError("edge_sum expects one weight, dst and src per edge")
+    A = sparse.csr_array((weights.data, (dst, src)), shape=(n, x.data.shape[0]))
+    out = A @ x.data
 
     def bw(g):
-        g_col = g[:, None]
-        return [(table, _scatter_rows(ids, g_col * other.data, table.data.shape[0])),
-                (other, g_col * rows)]
+        g_weights = _row_dots(g, dst, x.data, src) if _needs_grad(weights) else None
+        return [(x, A.T @ g), (weights, g_weights)]
 
-    return _make(out, (table, other), bw)
+    return _make(out, (x, weights), bw)
+
+
+def edge_dot(a: Tensor, ia, b: Tensor, ib) -> Tensor:
+    """out[k] = <a[ia[k]], b[ib[k]]>: an SDDMM, computed EDGE_CHUNK edges at a time.
+
+    The backward is the two SpMMs S @ b and S^T @ a (see edge_sum), with the
+    [len(a), len(b)] CSR matrix S holding g[k] at (ia[k], ib[k]).
+    """
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+        raise ValueError("edge_dot expects two 2-d tables of the same width")
+    ia, ib = _row_ids(ia, a.data.shape[0]), _row_ids(ib, b.data.shape[0])
+    if ia.shape != ib.shape:
+        raise ValueError("edge_dot expects one row id of each table per edge")
+    out = _row_dots(a.data, ia, b.data, ib)
+
+    def bw(g):
+        S = sparse.csr_array((g, (ia, ib)), shape=(a.data.shape[0], b.data.shape[0]))
+        return [(a, S @ b.data), (b, S.T @ a.data)]
+
+    return _make(out, (a, b), bw)
 
 
 def segment_weighted_sum(values: Tensor, weights: Tensor, segments, num_segments: int) -> Tensor:
-    """Per-segment sum of weights[i] * values[i]; empty segments give zero rows."""
-    segments = np.asarray(segments, dtype=np.int64)
-    if values.data.shape[0] != segments.shape[0] or weights.data.shape[0] != segments.shape[0]:
-        raise ValueError("values, weights and segments must align on the first axis")
-    if segments.size and segments.max() >= num_segments:
-        raise IndexError("segment id out of range")
-    out = _scatter_rows(segments, values.data * weights.data[:, None], num_segments)
+    """Per-segment sum of weights[i] * values[i]; empty segments give zero rows.
 
-    def bw(g):
-        g_rows = g[segments]
-        g_weights = np.einsum("ij,ij->i", g_rows, values.data) if _needs_grad(weights) else None
-        return [(values, g_rows * weights.data[:, None]), (weights, g_weights)]
-
-    return _make(out, (values, weights), bw)
+    The edge_sum of one edge per value row. Nothing in proxkg calls it; it
+    stays because perfbench/spans.py traces it by name.
+    """
+    return edge_sum(weights, segments, np.arange(values.data.shape[0]), values, num_segments)
 
 
 def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:

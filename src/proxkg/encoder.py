@@ -10,6 +10,7 @@ entirely while leaving the relation path unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -80,20 +81,36 @@ def compose(e: Tensor, r: Tensor, mode: str, params: dict | None = None) -> Tens
     raise ContractError(f"unknown composition {mode!r}")
 
 
-def relational_weights(adj: RelationalAdjacency, e_current: Tensor, phi: Tensor, scheme: str) -> Tensor:
+def messages(entities: Tensor, relations: Tensor, adj: RelationalAdjacency,
+             config: EncoderConfig, params: dict) -> list[tuple[Tensor, np.ndarray]]:
+    """The composed messages as (table, ids) terms: phi[k] = sum of table[ids[k]] over terms.
+
+    Additive composition is E[src] + R[rel], so its terms are the entity and
+    relation tables themselves and no [E, d] array is built. The other
+    compositions build phi and index it by edge.
+    """
+    if config.composition == "additive":
+        return [(entities, adj.src), (relations, adj.rel)]
+    phi = compose(ad.gather_rows(entities, adj.src), ad.gather_rows(relations, adj.rel),
+                  config.composition, params)
+    return [(phi, np.arange(adj.n_edges))]
+
+
+def relational_weights(adj: RelationalAdjacency, e_current: Tensor,
+                       terms: list[tuple[Tensor, np.ndarray]], scheme: str) -> Tensor:
     """Per-edge aggregation weight.
 
     prior: reciprocal of the source out-degree; gcn: symmetric-normalized
     1/sqrt(d_dst * d_src); attention: softmax over each destination's
     neighborhood of the dot product between its current state and the
-    composed message.
+    composed message, given as the ``messages`` terms.
     """
     if scheme == "prior":
         return Tensor(1.0 / np.maximum(adj.out_deg[adj.src], 1.0))
     if scheme == "gcn":
         return Tensor(1.0 / np.sqrt(np.maximum(adj.in_deg[adj.dst], 1.0) * np.maximum(adj.out_deg[adj.src], 1.0)))
     if scheme == "attention":
-        scores = ad.gather_dot(e_current, adj.dst, phi)
+        scores = reduce(ad.add, [ad.edge_dot(e_current, adj.dst, table, ids) for table, ids in terms])
         return ad.segment_softmax(scores, adj.dst, adj.n_entities)
     raise ContractError(f"unknown weight scheme {scheme!r}")
 
@@ -101,11 +118,10 @@ def relational_weights(adj: RelationalAdjacency, e_current: Tensor, phi: Tensor,
 def gr_layer(entities: Tensor, relations: Tensor, adj: RelationalAdjacency,
              W: Tensor, config: EncoderConfig, params: dict) -> Tensor:
     """One relation-aware layer: weighted composed-neighbor sum, transform, tanh, residual."""
-    e_src = ad.gather_rows(entities, adj.src)
-    r_msg = ad.gather_rows(relations, adj.rel)
-    phi = compose(e_src, r_msg, config.composition, params)
-    alpha = relational_weights(adj, entities, phi, config.weight_scheme)
-    n = ad.segment_weighted_sum(phi, alpha, adj.dst, adj.n_entities)
+    terms = messages(entities, relations, adj, config, params)
+    alpha = relational_weights(adj, entities, terms, config.weight_scheme)
+    n = reduce(ad.add, [ad.edge_sum(alpha, adj.dst, ids, table, adj.n_entities)
+                        for table, ids in terms])
     return ad.add(ad.tanh(ad.matmul(n, W)), entities)
 
 
@@ -133,8 +149,7 @@ class ProximityAdjacency:
 
 def gp_layer(entities: Tensor, prox: ProximityAdjacency, W: Tensor) -> Tensor:
     """One proximity layer: fixed-softmax neighbor average, transform, tanh, residual."""
-    e_src = ad.gather_rows(entities, prox.src)
-    n = ad.segment_weighted_sum(e_src, Tensor(prox.alpha), prox.dst, prox.n_entities)
+    n = ad.edge_sum(Tensor(prox.alpha), prox.dst, prox.src, entities, prox.n_entities)
     return ad.add(ad.tanh(ad.matmul(n, W)), entities)
 
 

@@ -165,17 +165,32 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self):
+        """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p -= lr m_hat / (sqrt(v_hat) + eps).
+
+        Updated in place with two scratch arrays per parameter, in the formula's
+        order of float operations, so the result equals the formula's bit for bit.
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            tmp = np.multiply(g, 1 - b1)
+            m *= b1
+            m += tmp
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g
+            v *= b2
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = np.divide(m, c1)
+            update *= self.lr
+            update /= tmp
+            p.data -= update
 
     def state_blobs(self):
         out = {}

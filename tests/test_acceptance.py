@@ -125,8 +125,14 @@ def test_criterion_4_gradient_suite():
         check_gradient(op, [A])
     check_gradient(ad.relu, [np.where(np.abs(A) < 1e-3, 0.5, A)])
     check_gradient(lambda t: ad.gather_rows(t, [0, 2, 2, 1]), [A])
-    check_gradient(lambda t, o: ad.mul(ad.gather_dot(t, [2, 0, 2], o), Tensor(np.arange(1.0, 4.0))),
-                   [A, B])
+    check_gradient(lambda t, o: ad.mul(ad.edge_dot(t, [2, 0, 2], o, [1, 1, 0]),
+                                       Tensor(np.arange(1.0, 4.0))), [A, B])
+    edge_rng = np.random.default_rng(32)           # leaves rng's draws below as they were
+    mix = Tensor(edge_rng.uniform(-1, 1, (2, 4)))
+    check_gradient(lambda w, x: ad.mul(ad.edge_sum(w, [0, 1, 1], [2, 0, 2], x, 2), mix),
+                   [edge_rng.uniform(-1, 1, 3), A])
+    w_const = Tensor(edge_rng.uniform(-1, 1, 3))
+    check_gradient(lambda x: ad.mul(ad.edge_sum(w_const, [0, 1, 1], [2, 0, 2], x, 2), mix), [A])
     check_gradient(lambda v, w: ad.segment_weighted_sum(v, w, [0, 1, 1], 2),
                    [A, rng.uniform(-1, 1, 3)])
     check_gradient(lambda s: ad.mul(ad.segment_softmax(s, [0, 0, 1], 2),

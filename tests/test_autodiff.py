@@ -129,39 +129,107 @@ def test_scatter_rows_matches_add_at(rng, n, ids, trailing):
     assert np.array_equal(got, want)
 
 
-def test_gather_dot_values(rng):
-    table = rng.uniform(-1, 1, (4, 3))
-    other = rng.uniform(-1, 1, (5, 3))
-    ids = [3, 0, 3, 1, 2]
-    out = ad.gather_dot(Tensor(table), ids, Tensor(other))
-    assert np.allclose(out.data, (table[ids] * other).sum(axis=1), rtol=1e-15, atol=1e-15)
+def test_edge_dot_values(rng):
+    a = rng.uniform(-1, 1, (4, 3))
+    b = rng.uniform(-1, 1, (5, 3))
+    ia, ib = [3, 0, 3, 1, 2], [4, 4, 0, 1, 2]
+    out = ad.edge_dot(Tensor(a), ia, Tensor(b), ib)
+    assert np.allclose(out.data, (a[ia] * b[ib]).sum(axis=1), rtol=1e-15, atol=1e-15)
 
 
-def test_gather_dot_gradient(rng):
-    table = rng.uniform(-1, 1, (4, 3))
-    other = rng.uniform(-1, 1, (5, 3))
-    ids = [3, 0, 3, 1, 3]
-
-    def build(t, o):
-        return ad.mul(ad.gather_dot(t, ids, o), Tensor(np.arange(1.0, 6.0)))  # break symmetry
-
-    check_gradient(build, [table, other])
+def test_edge_dot_chunks_do_not_change_values(rng, monkeypatch):
+    a = rng.uniform(-1, 1, (6, 4))
+    ia, ib = rng.integers(0, 6, 11), rng.integers(0, 6, 11)
+    whole = ad.edge_dot(Tensor(a), ia, Tensor(a), ib).data
+    monkeypatch.setattr(ad, "EDGE_CHUNK", 3)
+    assert np.array_equal(ad.edge_dot(Tensor(a), ia, Tensor(a), ib).data, whole)
 
 
-def test_gather_dot_out_of_range():
-    with pytest.raises(IndexError):
-        ad.gather_dot(Tensor(np.ones((2, 2))), [2], Tensor(np.ones((1, 2))))
-    with pytest.raises(IndexError):
-        ad.gather_dot(Tensor(np.ones((2, 2))), [-1], Tensor(np.ones((1, 2))))
+def test_edge_dot_gradient(rng):
+    a = rng.uniform(-1, 1, (4, 3))
+    b = rng.uniform(-1, 1, (5, 3))
+    ia, ib = [3, 0, 3, 1, 3], [0, 2, 0, 4, 1]      # the pair (3, 0) twice
+    weights = Tensor(np.arange(1.0, 6.0))          # break symmetry
+    check_gradient(lambda x, y: ad.mul(ad.edge_dot(x, ia, y, ib), weights), [a, b])
+    # one table on both sides
+    check_gradient(lambda x: ad.mul(ad.edge_dot(x, [0, 1, 2], x, [1, 1, 3]), Tensor(weights.data[:3])),
+                   [a])
 
 
-def test_gather_dot_empty(rng):
-    table = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-    other = Tensor(np.zeros((0, 3)), requires_grad=True)
-    out = ad.gather_dot(table, [], other)
+def test_edge_dot_out_of_range():
+    for ia, ib in (([2], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])):
+        with pytest.raises(IndexError):
+            ad.edge_dot(Tensor(np.ones((2, 2))), ia, Tensor(np.ones((3, 2))), ib)
+
+
+def test_edge_dot_empty(rng):
+    a = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    out = ad.edge_dot(a, [], b, [])
     assert out.shape == (0,)
-    ad.add(ad.tsum(out), ad.tsum(table)).backward()
-    assert np.array_equal(table.grad, np.ones((4, 3)))
+    ad.add(ad.tsum(out), ad.tsum(a)).backward()
+    assert np.array_equal(a.grad, np.ones((4, 3)))
+    assert np.array_equal(b.grad, np.zeros((2, 3)))
+
+
+# the pair (dst 2, src 3) three times, and a fourth output row that no edge reaches
+EDGE_DST, EDGE_SRC = [2, 0, 2, 1, 2, 2], [3, 1, 3, 0, 0, 3]
+
+
+def test_edge_sum_duplicate_pairs(rng):
+    x = rng.uniform(-1, 1, (4, 3))
+    w = rng.uniform(-1, 1, 6)
+    g = rng.uniform(-1, 1, (4, 3))
+    want, want_x = np.zeros((4, 3)), np.zeros((4, 3))
+    for k, (d, s) in enumerate(zip(EDGE_DST, EDGE_SRC)):
+        want[d] += w[k] * x[s]
+        want_x[s] += w[k] * g[d]
+    live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST, EDGE_SRC,
+                       Tensor(x, requires_grad=True), 4)
+    assert np.allclose(live.data, want, rtol=1e-14, atol=1e-15)
+    (_, x_grad), (_, w_grad) = live._backward(g)
+    assert np.allclose(x_grad, want_x, rtol=1e-14, atol=1e-15)
+    # CSR sums the three (2, 3) entries, but each edge keeps its own weight gradient
+    assert w_grad.shape == (6,)
+    assert np.allclose(w_grad, (g[EDGE_DST] * x[EDGE_SRC]).sum(axis=1), rtol=1e-15, atol=1e-15)
+
+
+def test_edge_sum_constant_weights(rng):
+    x = rng.uniform(-1, 1, (4, 3))
+    w = rng.uniform(-1, 1, 6)
+    g = rng.uniform(-1, 1, (4, 3))
+    const = ad.edge_sum(Tensor(w), EDGE_DST, EDGE_SRC, Tensor(x, requires_grad=True), 4)
+    (_, x_grad), (_, w_grad) = const._backward(g)
+    assert w_grad is None
+    live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST, EDGE_SRC,
+                       Tensor(x, requires_grad=True), 4)
+    assert np.array_equal(x_grad, live._backward(g)[0][1])
+
+
+def test_edge_sum_gradient(rng):
+    x = rng.uniform(-1, 1, (4, 3))
+    w = rng.uniform(-1, 1, 6)
+    mix = Tensor(rng.uniform(-1, 1, (5, 3)))       # break symmetry; row 4 gets no edge
+    check_gradient(lambda wt, xt: ad.mul(ad.edge_sum(wt, EDGE_DST, EDGE_SRC, xt, 5), mix), [w, x])
+    check_gradient(lambda xt: ad.mul(ad.edge_sum(Tensor(w), EDGE_DST, EDGE_SRC, xt, 5), mix), [x])
+
+
+def test_edge_sum_out_of_range():
+    x = Tensor(np.ones((2, 2)))
+    assert ad.edge_sum(Tensor(np.ones(1)), [2], [1], x, 3).data[2].tolist() == [1.0, 1.0]
+    for dst, src in (([3], [0]), ([-1], [0]), ([0], [2]), ([0], [-1])):
+        with pytest.raises(IndexError):
+            ad.edge_sum(Tensor(np.ones(1)), dst, src, x, 3)
+
+
+def test_edge_sum_empty(rng):
+    x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    w = Tensor(np.zeros(0), requires_grad=True)
+    out = ad.edge_sum(w, [], [], x, 3)
+    assert np.array_equal(out.data, np.zeros((3, 3)))
+    ad.add(ad.tsum(out), ad.tsum(x)).backward()
+    assert np.array_equal(x.grad, np.ones((4, 3)))
+    assert w.grad.shape == (0,)
 
 
 def test_segment_weighted_sum_constant_weights(rng):

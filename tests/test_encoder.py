@@ -3,12 +3,12 @@ import pytest
 
 import proxkg.autodiff as ad
 from proxkg.autodiff import Tensor
-from proxkg.encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
-                            compose, encode, gp_layer, gr_layer, init_encoder_params,
-                            relational_weights, relation_mlp)
+from proxkg.encoder import (COMPOSITIONS, WEIGHT_SCHEMES, EncoderConfig, ProximityAdjacency,
+                            RelationalAdjacency, compose, encode, gp_layer, gr_layer,
+                            init_encoder_params, relational_weights, relation_mlp)
 from proxkg.kgdata import ContractError, augment_inverse
-from proxkg.proximity import (SPMMatrix, accumulate_spm, build_proximity_graph,
-                              extract_qa_pairs)
+from proxkg.proximity import (EDGE_DTYPE, ProximityGraph, SPMMatrix, accumulate_spm,
+                              build_proximity_graph, extract_qa_pairs)
 from proxkg.synth import random_kg
 from conftest import kg_from_triples, spm_records
 
@@ -47,6 +47,52 @@ def naive_gr_layer(E, R, edges, mode, scheme, W, params, n_entities):
         n = sum(a * phi for a, phi in zip(alphas, phis))
         new[i] = np.tanh(n @ W) + E[i]
     return new
+
+
+def ref_gather_dot(table, ids, other):
+    """out[k] = <table[ids[k]], other[k]>, as gr_layer scored attention before edge_dot."""
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = table.data[ids]
+
+    def bw(g):
+        return [(table, ad._scatter_rows(ids, g[:, None] * other.data, table.data.shape[0])),
+                (other, g[:, None] * rows)]
+
+    return ad._make(np.einsum("ij,ij->i", rows, other.data), (table, other), bw)
+
+
+def ref_segment_weighted_sum(values, weights, segments, n):
+    """Scatter of weights[k] * values[k] into row segments[k], as both layers summed before edge_sum."""
+    segments = np.asarray(segments, dtype=np.int64)
+
+    def bw(g):
+        g_rows = g[segments]
+        return [(values, g_rows * weights.data[:, None]),
+                (weights, np.einsum("ij,ij->i", g_rows, values.data))]
+
+    out = ad._scatter_rows(segments, values.data * weights.data[:, None], n)
+    return ad._make(out, (values, weights), bw)
+
+
+def reference_gr_layer(entities, relations, adj, W, config, params):
+    """gr_layer as gather -> compose -> weight -> scatter, with every [E, d] array built."""
+    phi = compose(ad.gather_rows(entities, adj.src), ad.gather_rows(relations, adj.rel),
+                  config.composition, params)
+    if config.weight_scheme == "attention":
+        alpha = ad.segment_softmax(ref_gather_dot(entities, adj.dst, phi), adj.dst, adj.n_entities)
+    elif config.weight_scheme == "prior":
+        alpha = Tensor(1.0 / np.maximum(adj.out_deg[adj.src], 1.0))
+    else:
+        alpha = Tensor(1.0 / np.sqrt(np.maximum(adj.in_deg[adj.dst], 1.0)
+                                     * np.maximum(adj.out_deg[adj.src], 1.0)))
+    n = ref_segment_weighted_sum(phi, alpha, adj.dst, adj.n_entities)
+    return ad.add(ad.tanh(ad.matmul(n, W)), entities)
+
+
+def reference_gp_layer(entities, prox, W):
+    e_src = ad.gather_rows(entities, prox.src)
+    n = ref_segment_weighted_sum(e_src, Tensor(prox.alpha), prox.dst, prox.n_entities)
+    return ad.add(ad.tanh(ad.matmul(n, W)), entities)
 
 
 def naive_neighbors(graph):
@@ -100,7 +146,7 @@ def test_relational_weights_formulas(rng):
     triples = np.array([[0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 0, 4]])
     adj = RelationalAdjacency(triples, None, 5)
     E = Tensor(rng.uniform(-1, 1, (5, 3)))
-    phi = Tensor(rng.uniform(-1, 1, (4, 3)))
+    phi = [(Tensor(rng.uniform(-1, 1, (4, 3))), np.arange(4))]
     assert np.allclose(relational_weights(adj, E, phi, "prior").data, 0.25)
     # gcn: d_dst=4, d_src=1 -> 0.5
     fan_in = np.array([[i, 0, 4] for i in range(4)])
@@ -109,7 +155,7 @@ def test_relational_weights_formulas(rng):
     # attention with a single neighbor is 1
     single = RelationalAdjacency(np.array([[0, 0, 1]]), None, 2)
     w = relational_weights(single, Tensor(rng.uniform(-1, 1, (2, 3))),
-                           Tensor(rng.uniform(-1, 1, (1, 3))), "attention")
+                           [(Tensor(rng.uniform(-1, 1, (1, 3))), np.arange(1))], "attention")
     assert np.allclose(w.data, [1.0])
 
 
@@ -262,3 +308,86 @@ def test_encoder_gradients_flow(rng):
     for name in ("entity_embed", "relation_embed", "kg_W0", "prox_W0", "rel_mlp_W1"):
         assert params[name].grad is not None
         assert np.any(params[name].grad != 0)
+
+
+def outputs_and_grads(layer, params, rng_seed):
+    """A layer's output and the gradients of a fixed random mix of it, on fresh parameter copies."""
+    live = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+    out = layer(live)
+    mix = np.random.default_rng(rng_seed).uniform(-1, 1, out.shape)
+    ad.tsum(ad.mul(out, Tensor(mix))).backward()
+    return out.data, {k: t.grad for k, t in live.items() if t.grad is not None}
+
+
+def random_multigraph(rng, n_entities=12, n_linked=9, n_relations=4, n_edges=40):
+    """Triples over the first n_linked entities (the rest isolated), with one (src, dst)
+    pair repeated through every relation and one triple repeated outright."""
+    triples = np.column_stack([rng.integers(0, n_linked, n_edges),
+                               rng.integers(0, n_relations, n_edges),
+                               rng.integers(0, n_linked, n_edges)])
+    repeated = np.array([[0, r, 1] for r in range(n_relations)] + [[2, 1, 3], [2, 1, 3]])
+    return RelationalAdjacency(np.concatenate([triples, repeated]), None, n_entities)
+
+
+@pytest.mark.parametrize("composition", COMPOSITIONS)
+@pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+def test_gr_layer_matches_gather_scatter_reference(rng, composition, scheme):
+    adj = random_multigraph(rng)
+    config = EncoderConfig(dim=5, composition=composition, weight_scheme=scheme)
+    params = init_encoder_params(config, adj.n_entities, 4, rng)
+
+    def run(layer):
+        return outputs_and_grads(lambda p: layer(p["entity_embed"], p["relation_embed"], adj,
+                                                 p["kg_W0"], config, p), params, 99)
+
+    out, grads = run(gr_layer)
+    ref_out, ref_grads = run(reference_gr_layer)
+    assert np.max(np.abs(out - ref_out)) < 1e-10
+    assert sorted(grads) == sorted(ref_grads)
+    for name, grad in grads.items():
+        assert np.max(np.abs(grad - ref_grads[name])) < 1e-10, name
+    isolated = adj.in_deg == 0
+    assert isolated[9:].all() and np.array_equal(out[isolated], params["entity_embed"].data[isolated])
+
+
+def test_gp_layer_matches_gather_scatter_reference(rng):
+    pairs = np.unique(np.sort(rng.integers(0, 9, (30, 2)), axis=1), axis=0)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    edges = np.empty(len(pairs), EDGE_DTYPE)
+    edges["i"], edges["j"], edges["w"] = pairs[:, 0], pairs[:, 1], rng.uniform(0, 3, len(pairs))
+    prox = ProximityAdjacency(ProximityGraph(12, 0.0, 4, edges))
+    params = {"E": Tensor(rng.uniform(-1, 1, (12, 5))), "W": Tensor(rng.uniform(-1, 1, (5, 5)))}
+
+    def run(layer):
+        return outputs_and_grads(lambda p: layer(p["E"], prox, p["W"]), params, 98)
+
+    out, grads = run(gp_layer)
+    ref_out, ref_grads = run(reference_gp_layer)
+    assert np.max(np.abs(out - ref_out)) < 1e-10
+    for name in ("E", "W"):
+        assert np.max(np.abs(grads[name] - ref_grads[name])) < 1e-10, name
+    assert np.array_equal(out[9:], params["E"].data[9:])
+
+
+@pytest.mark.parametrize("composition", COMPOSITIONS)
+@pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+def test_gr_layer_empty_graph_returns_input(rng, composition, scheme):
+    kg, config, params, _, _ = toy_setup(rng, composition, scheme)
+    adj = RelationalAdjacency(kg.train, np.zeros(len(kg.train), dtype=bool), kg.n_entities)
+    out, grads = outputs_and_grads(lambda p: gr_layer(p["entity_embed"], p["relation_embed"], adj,
+                                                      p["kg_W0"], config, p), params, 97)
+    assert adj.n_edges == 0
+    assert np.array_equal(out, params["entity_embed"].data)     # residual plus tanh(0 W)
+    assert np.array_equal(grads["kg_W0"], np.zeros((6, 6)))
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+
+def test_gp_layer_empty_graph_returns_input(rng):
+    kg, config, params, _, _ = toy_setup(rng)
+    spm = accumulate_spm(extract_qa_pairs(kg), 4)
+    prox = ProximityAdjacency(build_proximity_graph(spm, spm.records["w"].max() + 1.0, kg.n_entities))
+    out, grads = outputs_and_grads(lambda p: gp_layer(p["entity_embed"], prox, p["prox_W0"]),
+                                   params, 96)
+    assert len(prox.src) == 0
+    assert np.array_equal(out, params["entity_embed"].data)
+    assert np.array_equal(grads["prox_W0"], np.zeros((6, 6)))

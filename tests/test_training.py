@@ -6,7 +6,7 @@ import pytest
 
 from proxkg.autodiff import Tensor
 from proxkg.decoder import DecoderConfig
-from proxkg.encoder import EncoderConfig
+from proxkg.encoder import COMPOSITIONS, WEIGHT_SCHEMES, EncoderConfig
 from proxkg.kgdata import ContractError, DataError, augment_inverse
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
 from proxkg.synth import random_kg, toy_kg
@@ -130,6 +130,25 @@ def test_adam_matches_reference_recurrence(rng):
         assert np.max(np.abs(p.data - theta)) < 1e-12
 
 
+def test_adam_in_place_step_equals_written_formula(rng):
+    p = Tensor(np.zeros((5, 3)), requires_grad=True)      # so that every bit of the update shows
+    opt = Adam({"p": p}, lr=3e-4)
+    opt.t = 6
+    opt.m["p"] = rng.uniform(-1, 1, (5, 3))
+    opt.v["p"] = rng.uniform(0, 1, (5, 3))
+    g = rng.uniform(-1, 1, (5, 3))
+    p.grad = g
+    # the Adam formula, written out of place
+    t, b1, b2 = 7, 0.9, 0.999
+    m = b1 * opt.m["p"] + (1 - b1) * g
+    v = b2 * opt.v["p"] + (1 - b2) * g * g
+    want = p.data - 3e-4 * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + 1e-8)
+    opt.step()
+    assert np.array_equal(opt.m["p"], m)
+    assert np.array_equal(opt.v["p"], v)
+    assert np.array_equal(p.data, want)
+
+
 def test_training_deterministic_bitwise(rng):
     losses = []
     for _ in range(2):
@@ -137,6 +156,34 @@ def test_training_deterministic_bitwise(rng):
         trainer = Trainer(kg, pg, enc, dec, trn)
         losses.append([rec["train_loss"] for rec in trainer.train()])
     assert losses[0] == losses[1]
+
+
+def one_step(trainer):
+    cfg = trainer.train_config
+    return trainer.step(next(build_batches(trainer.queries, trainer.answer_lists,
+                                           trainer.kg.n_entities, cfg.batch_size,
+                                           cfg.label_smoothing, trainer.rng)))
+
+
+@pytest.mark.parametrize("composition", COMPOSITIONS)
+@pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+def test_step_with_every_edge_dropped(rng, composition, scheme):
+    # 1.0 is a published edge_drop_rate; it leaves the message-passing graph empty
+    kg, pg, enc, dec, trn = toy_pipeline(rng, edge_drop_rate=1.0, composition=composition,
+                                         weight_scheme=scheme)
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    assert np.isfinite(one_step(trainer))
+    assert all(np.isfinite(p.data).all() for p in trainer.params.values())
+
+
+def test_step_with_empty_proximity_graph(rng):
+    kg, _, enc, dec, trn = toy_pipeline(rng)
+    spm = accumulate_spm(extract_qa_pairs(kg), 4)
+    empty = build_proximity_graph(spm, spm.records["w"].max() + 1.0, kg.n_entities)
+    assert empty.n_edges == 0
+    trainer = Trainer(kg, empty, enc, dec, trn)
+    assert np.isfinite(one_step(trainer))
+    assert all(np.isfinite(p.data).all() for p in trainer.params.values())
 
 
 def test_zero_learning_rate_keeps_params(rng):
