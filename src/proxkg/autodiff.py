@@ -252,19 +252,57 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    # z = exp(-|x|) never overflows: 1 / (1 + z) where x >= 0, z / (1 + z) elsewhere
-    z = np.abs(a.data)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, in two temporaries.
+
+    z = exp(-|x|) never overflows: 1 / (1 + z) where x >= 0, z / (1 + z) elsewhere.
+    """
+    z = np.abs(x)
     np.negative(z, out=z)
     np.exp(z, out=z)
-    out = np.where(a.data >= 0, 1.0, z)
+    out = np.where(x >= 0, 1.0, z)
     z += 1.0
     out /= z
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
 
     def bw(g):
         return [(a, g * out * (1.0 - out))]
 
     return _make(out, (a,), bw)
+
+
+def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(logits) against constant targets.
+
+    Each cell is max(x, 0) - t x + log1p(exp(-|x|)), computed from the logit
+    x, so it neither overflows nor saturates: a confidently wrong cell keeps
+    its full loss and gradient. The backward is (sigmoid(x) - t) g / N over
+    the N cells; the targets get no gradient.
+    """
+    x, t = logits.data, targets.data
+    if x.shape != t.shape:
+        raise ValueError(f"logits {x.shape} and targets {t.shape} differ in shape")
+    cells = np.abs(x)
+    np.negative(cells, out=cells)
+    np.exp(cells, out=cells)
+    np.log1p(cells, out=cells)
+    tmp = np.maximum(x, 0.0)
+    cells += tmp
+    np.multiply(t, x, out=tmp)
+    cells -= tmp
+    out = cells.mean()
+
+    def bw(g):
+        grad = _sigmoid(x)
+        grad -= t
+        grad *= g / x.size
+        return [(logits, grad)]
+
+    return _make(out, (logits,), bw)
 
 
 def dropout(a: Tensor, rate: float, seed: int, layer_id: int, step: int, training: bool) -> Tensor:

@@ -18,8 +18,8 @@ import sys
 from . import __version__
 from .encoder import ProximityAdjacency
 from .evaluation import evaluate, ntype_mrr_breakdown, ntype_report
-from .kgdata import (ContractError, DataError, KnowledgeGraph, augment_inverse, ingest_dataset,
-                     load_kg, save_kg)
+from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, augment_inverse,
+                     ingest_dataset, load_kg, save_kg)
 from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_tsv,
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
@@ -100,7 +100,7 @@ def _out_dir(cfg: dict) -> str:
 
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -212,7 +212,7 @@ def cmd_ntype(args) -> int:
     out = _out_dir(cfg)
     _write_json(os.path.join(out, "ntype_report.json"),
                 {"provenance": provenance(cfg), **report})
-    with open(os.path.join(out, "ntype_table.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out, "ntype_table.tsv"), "w", encoding="utf-8") as fh:
         fh.write("range\tcount\trate\n")
         for row in report["ranges"]:
             fh.write(f"{row['label']}\t{row['count']}\t{row['rate']:.2f}\n")

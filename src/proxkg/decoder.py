@@ -3,7 +3,9 @@
 A query embedding pair (anchor, relation) is reshaped into two stacked 2-d
 maps, convolved, projected back to the embedding dimension, and matched
 against every encoded entity by inner product plus a learned per-entity
-bias; a sigmoid turns the match scores into probabilities.
+bias. The match scores are logits: the fused binary cross-entropy op takes
+them as they are and evaluation ranks them, since a sigmoid would saturate
+large scores to ties and zero the gradient of confidently wrong ones.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .kgdata import ContractError
-
-SCORE_CLIP = 1e-7
 
 # layer ids for the counter-based dropout streams
 _DROP_INPUT, _DROP_FEATURE, _DROP_HIDDEN = 101, 102, 103
@@ -51,9 +51,15 @@ class DecoderConfig:
         if self.reshape_h * self.reshape_w != self.dim:
             raise ContractError(
                 f"reshape {self.reshape_h}x{self.reshape_w} does not cover dim {self.dim}")
+        if self.kernel < 1 or self.n_filters < 1:
+            raise ContractError(
+                f"kernel and n_filters must be at least 1, got {self.kernel} and {self.n_filters}")
         if self.kernel > min(2 * self.reshape_h, self.reshape_w):
             raise ContractError(
                 f"kernel {self.kernel} exceeds stacked input {2 * self.reshape_h}x{self.reshape_w}")
+        for name in ("dropout_input", "dropout_feature", "dropout_hidden"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"{name} must be in [0,1), got {getattr(self, name)}")
 
     @property
     def conv_out_hw(self) -> tuple[int, int]:
@@ -83,7 +89,7 @@ def init_decoder_params(config: DecoderConfig, n_entities: int, rng: np.random.G
 def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: dict,
                 config: DecoderConfig, training: bool = False, seed: int = 0,
                 step: int = 0) -> Tensor:
-    """Match a batch of queries against all entities; returns probabilities [B, n_e]."""
+    """Match a batch of queries against all entities; returns logits [B, n_e]."""
     config.validate()
     B = h_embed.shape[0]
     if h_embed.shape[1] != config.dim:
@@ -98,17 +104,8 @@ def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: 
     proj = ad.add(ad.matmul(x, params["fc_W"]), params["fc_b"])
     proj = ad.dropout(proj, config.dropout_hidden, seed, _DROP_HIDDEN, step, training)
     proj = ad.relu(proj)
-    scores = ad.add(ad.matmul(proj, ad.transpose(entities_enc)), params["entity_bias"])
-    return ad.sigmoid(scores)
+    return ad.add(ad.matmul(proj, ad.transpose(entities_enc)), params["entity_bias"])
 
 
-def bce_loss(output: Tensor, targets: Tensor) -> Tensor:
-    """Mean binary cross entropy over every (query, entity) cell.
-
-    Probabilities are clipped to [1e-7, 1-1e-7] so the logs stay finite.
-    """
-    o = ad.clip(output, SCORE_CLIP, 1.0 - SCORE_CLIP)
-    ones = Tensor(np.ones_like(targets.data))
-    pos = ad.mul(targets, ad.log(o))
-    neg = ad.mul(ad.sub(ones, targets), ad.log(ad.sub(ones, o)))
-    return ad.scale(ad.mean(ad.add(pos, neg)), -1.0)
+# mean binary cross-entropy over every (query, entity) cell of the logits
+bce_loss = ad.bce_with_logits

@@ -3,8 +3,9 @@
 Every evaluation triple is scored in both directions: (h, r, ?) against
 the tail and (t, r_inverse, ?) against the head, over the augmented
 relation set. All other entities known to answer the query anywhere in
-train/valid/test are masked out before ranking. Equal scores are resolved
-by averaging the optimistic and pessimistic rank.
+train/valid/test are masked out before ranking. Scores are the decoder's
+logits, which do not saturate, and equal scores are resolved by averaging
+the optimistic and pessimistic rank.
 
 Known answers are one sorted int64 array of ``kgdata.answer_keys``; cases
 are scored and ranked one ``batch_size`` block at a time, so no score
@@ -78,8 +79,8 @@ def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | No
                  encoder_config: EncoderConfig, decoder_config: DecoderConfig):
     """Encodes once under the full (undropped) graph; returns ``score(queries)``.
 
-    ``score`` maps a [B, 2] (anchor, relation) block to its [B, n_e]
-    probabilities. Only constants are kept, so the encoder graph is freed.
+    ``score`` maps a [B, 2] (anchor, relation) block to its [B, n_e] logit
+    matrix. Only constants are kept, so the encoder graph is freed.
     """
     adj = RelationalAdjacency(kg.train, None, kg.n_entities)
     E_const, R_const = (Tensor(t.data) for t in encode(params, adj, prox, encoder_config))
@@ -95,7 +96,7 @@ def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | No
 def score_all_queries(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | None,
                       encoder_config: EncoderConfig, decoder_config: DecoderConfig,
                       queries, batch_size: int = 512) -> np.ndarray:
-    """Probability matrix [len(queries), n_e], scored batch_size queries at a time."""
+    """Logit matrix [len(queries), n_e], scored batch_size queries at a time."""
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
     score = batch_scorer(params, kg, prox, encoder_config, decoder_config)
     out = np.empty((len(queries), kg.n_entities))

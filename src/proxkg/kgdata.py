@@ -8,8 +8,10 @@ prediction benchmarks.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +215,24 @@ def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.n
     return np.flatnonzero(keep).astype(np.int64)
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing, then rename it over ``path``.
+
+    The rename happens only when the ``with`` block completes, so a write that
+    raises leaves the previous file as it was; the temporary file is removed
+    either way.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _unicode_array(strings: list[str]) -> np.ndarray:
     array = np.asarray(strings, dtype=str)
     # a fixed-width unicode array drops trailing NULs, which would merge distinct surfaces
@@ -222,18 +242,22 @@ def _unicode_array(strings: list[str]) -> np.ndarray:
 
 
 def save_kg(kg: KnowledgeGraph, path) -> None:
-    """One ``.npz`` of plain arrays: vocabularies and the report are unicode arrays."""
-    np.savez_compressed(
-        path,
-        entities=_unicode_array(kg.entities.surfaces()),
-        relations=_unicode_array(kg.relations.surfaces()),
-        train=kg.train,
-        valid=kg.valid,
-        test=kg.test,
-        augmented=np.asarray([kg.augmented]),
-        num_raw_relations=np.asarray([kg.num_raw_relations or -1]),
-        report=np.asarray([json.dumps(kg.report)]),
-    )
+    """One ``.npz`` of plain arrays: vocabularies and the report are unicode arrays.
+
+    Written through a file handle, so numpy appends no ``.npz`` to ``path``.
+    """
+    with atomic_write(path) as fh:
+        np.savez_compressed(
+            fh,
+            entities=_unicode_array(kg.entities.surfaces()),
+            relations=_unicode_array(kg.relations.surfaces()),
+            train=kg.train,
+            valid=kg.valid,
+            test=kg.test,
+            augmented=np.asarray([kg.augmented]),
+            num_raw_relations=np.asarray([kg.num_raw_relations or -1]),
+            report=np.asarray([json.dumps(kg.report)]),
+        )
 
 
 def load_kg(path) -> KnowledgeGraph:

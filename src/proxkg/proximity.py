@@ -16,7 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .kgdata import ContractError, DataError, KnowledgeGraph, augment_inverse, query_answers
+from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, augment_inverse,
+                     query_answers)
 
 HEAD_QUERY = 0  # (?, r, t): anchor is the tail
 TAIL_QUERY = 1  # (h, r, ?): anchor is the head
@@ -195,7 +196,7 @@ def proximity_stats(graph: ProximityGraph) -> dict:
 
 def save_proximity_graph(graph: ProximityGraph, path) -> None:
     """Versioned binary: header then (i, j, weight) records sorted by (i, j)."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(_VERSION, graph.n_entities, graph.threshold, graph.M, graph.n_edges))
         fh.write(graph.edges.tobytes())
@@ -223,5 +224,5 @@ def load_proximity_graph(path) -> ProximityGraph:
 
 
 def export_proximity_tsv(graph: ProximityGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{i}\t{j}\t{w!r}\n" for i, j, w in graph.edges.tolist())

@@ -12,7 +12,6 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 import struct
 import time
 from dataclasses import asdict, dataclass, fields
@@ -25,7 +24,8 @@ from .autodiff import Tensor
 from .decoder import DecoderConfig, bce_loss, conve_score, init_decoder_params
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
                       encode, init_encoder_params)
-from .kgdata import ContractError, DataError, KnowledgeGraph, query_answers, sample_edge_dropout
+from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, query_answers,
+                     sample_edge_dropout)
 from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph,
                         extract_qa_pairs)
 
@@ -68,6 +68,10 @@ class TrainConfig:
             raise ContractError("edge_drop_rate must be in [0,1]")
         if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate < 0:
             raise ContractError("epochs, batch_size and learning_rate must be non-negative")
+        if not np.isfinite(self.learning_rate):
+            raise ContractError(f"learning_rate must be finite, got {self.learning_rate}")
+        if self.eval_every < 0:
+            raise ContractError(f"eval_every must be non-negative, got {self.eval_every}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ContractError("label_smoothing must be in [0,1)")
         if not self.allow_off_grid:
@@ -237,19 +241,12 @@ def save_checkpoint(path, params: dict, optimizer, encoder_config, decoder_confi
         "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
     }
     raw = json.dumps(header).encode()
-    # written beside the target and renamed over it, so a failed write leaves the old file
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(_CKPT_HEAD.pack(_CKPT_VERSION, len(raw)))
-            fh.write(raw)
-            for spec in header["blobs"]:
-                fh.write(np.ascontiguousarray(blobs[spec["name"]], dtype=np.float64).tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_write(path) as fh:
+        fh.write(_CKPT_MAGIC)
+        fh.write(_CKPT_HEAD.pack(_CKPT_VERSION, len(raw)))
+        fh.write(raw)
+        for spec in header["blobs"]:
+            fh.write(np.ascontiguousarray(blobs[spec["name"]], dtype=np.float64).tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
@@ -451,7 +448,7 @@ def write_trial_table(result: dict, path) -> None:
     if not trials:
         return
     cols = sorted({k for row in trials for k in row})
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         if not result["complete"]:
             fh.write("# INCOMPLETE: budget exhausted before covering the grid\n")
         fh.write("\t".join(cols) + "\n")

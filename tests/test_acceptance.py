@@ -140,6 +140,10 @@ def test_criterion_4_gradient_suite():
                    [rng.uniform(-1, 1, 3)])
     check_gradient(ad.conv2d, [rng.uniform(-1, 1, (2, 2, 4, 3)),
                                rng.uniform(-1, 1, (2, 2, 2, 2))])
+    bce_rng = np.random.default_rng(33)            # leaves rng's draws below as they were
+    logits = np.append(bce_rng.uniform(-3, 3, 6), [30.0, -30.0]).reshape(2, 4)
+    bce_targets = Tensor(bce_rng.uniform(0, 1, (2, 4)))
+    check_gradient(lambda x: ad.bce_with_logits(x, bce_targets), [logits])
 
     # full encoder + decoder loss on a toy instance (n_e = 6, d = 4)
     kg = augment_inverse(toy_kg(rng, n_entities=6, n_relations=2, n_train=12))

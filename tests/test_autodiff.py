@@ -359,6 +359,21 @@ def test_sigmoid_bit_identical_to_two_branch_formula(rng):
     assert out[0] == 0.5 and out[len(edges)] == 0.5
 
 
+def test_bce_with_logits_extreme_logits(rng):
+    edges = np.array([0.0, 1e-300, 36.8, 745.0, 800.0])
+    x = np.concatenate([edges, -edges, rng.normal(0.0, 3.0, 90)]).reshape(4, 25)
+    t = rng.uniform(0.0, 1.0, x.shape)
+    logits = Tensor(x, requires_grad=True)
+    with np.errstate(over="raise"):
+        loss = ad.bce_with_logits(logits, Tensor(t))
+        loss.backward()
+    direct = np.mean(np.maximum(x, 0.0) - t * x + np.log1p(np.exp(-np.abs(x))))
+    assert float(loss.data) == pytest.approx(direct, rel=1e-14)
+    assert np.allclose(logits.grad, (_two_branch_sigmoid(x) - t) / x.size, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        ad.bce_with_logits(logits, Tensor(t[:, :-1]))
+
+
 def test_activation_gradients(rng):
     x = rng.uniform(-1, 1, (3, 4))
     for op in (ad.tanh, ad.sigmoid):

@@ -261,6 +261,14 @@ def test_cli_unknown_split_is_config_error(built_dir):
     assert run(["evaluate"] + args) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("setting", ["dropout_input=1.0", "dropout_hidden=-0.1", "kernel=0",
+                                     "n_filters=0", "eval_every=-1", "learning_rate=nan"])
+def test_cli_out_of_range_model_setting_is_config_error(built_dir, setting):
+    args = ["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN + ["--set", setting]
+    assert run(args) == EXIT_CONFIG
+    assert not (built_dir / "metrics.jsonl").exists()      # rejected before any training
+
+
 def test_cli_grid_starts_from_run_M_and_I(built_dir):
     args = ["grid", "--set", f"out_dir={built_dir}", "--set", "grid.seed=1"] + TINY_TRAIN
     assert run(args + ["--set", "M=3", "--set", "I=0.5"]) == EXIT_OK

@@ -5,6 +5,7 @@ import proxkg.autodiff as ad
 from proxkg.autodiff import Tensor
 from proxkg.decoder import (DecoderConfig, bce_loss, conve_score, default_reshape,
                             init_decoder_params)
+from proxkg.evaluation import filtered_rank
 from proxkg.kgdata import ContractError
 
 
@@ -25,7 +26,7 @@ def naive_conve(h, r, E_enc, params, cfg):
                     maps[c, y, x] = np.sum(grid[y:y + k, x:x + k] * F[c, 0])
         feat = np.maximum(maps, 0.0).reshape(-1)
         proj = np.maximum(feat @ params["fc_W"].data + params["fc_b"].data, 0.0)
-        out[b] = 1.0 / (1.0 + np.exp(-(E_enc @ proj + params["entity_bias"].data)))
+        out[b] = E_enc @ proj + params["entity_bias"].data
     return out
 
 
@@ -53,20 +54,29 @@ def test_config_validation():
         DecoderConfig(dim=8, reshape_h=3, reshape_w=3).validate()
     with pytest.raises(ContractError):
         DecoderConfig(dim=8, kernel=5).validate()  # stacked input is 4x4
+    for bad in (dict(kernel=0), dict(n_filters=0), dict(dropout_input=1.0),
+                dict(dropout_feature=-0.1), dict(dropout_hidden=float("nan"))):
+        with pytest.raises(ContractError):
+            DecoderConfig(dim=8, **bad).validate()
+
+
+def zero_weight_params(cfg, entity_bias):
+    """Decoder parameters whose every logit is the entity's bias."""
+    return {
+        "conv_filters": Tensor(np.zeros((cfg.n_filters, 1, cfg.kernel, cfg.kernel))),
+        "fc_W": Tensor(np.zeros((cfg.flat_dim, cfg.dim))),
+        "fc_b": Tensor(np.zeros(cfg.dim)),
+        "entity_bias": Tensor(np.asarray(entity_bias, dtype=float), requires_grad=True),
+    }
 
 
 def test_zero_weights_score_half(rng):
     cfg = no_dropout_config(8)
-    params = {
-        "conv_filters": Tensor(np.zeros((4, 1, 2, 2))),
-        "fc_W": Tensor(np.zeros((cfg.flat_dim, 8))),
-        "fc_b": Tensor(np.zeros(8)),
-        "entity_bias": Tensor(np.zeros(5)),
-    }
+    params = zero_weight_params(cfg, np.zeros(5))
     h = Tensor(rng.uniform(-1, 1, (3, 8)))
     r = Tensor(rng.uniform(-1, 1, (3, 8)))
     out = conve_score(h, r, Tensor(rng.uniform(-1, 1, (5, 8))), params, cfg)
-    assert np.allclose(out.data, 0.5)
+    assert np.allclose(out.data, 0.0)      # logit 0: probability one half
 
 
 def test_conve_matches_naive_reference(rng):
@@ -103,29 +113,48 @@ def test_conve_training_dropout_deterministic(rng):
 
 def test_bce_perfect_prediction():
     t = np.array([[1.0, 0.0, 0.0, 1.0]])
-    loss = bce_loss(Tensor(t), Tensor(t))
+    loss = bce_loss(Tensor(np.where(t == 1.0, 40.0, -40.0)), Tensor(t))
     assert float(loss.data) <= 1e-6
 
 
 def test_bce_uniform_half_is_ln2(rng):
     t = (rng.uniform(0, 1, (3, 7)) > 0.5).astype(float)
-    loss = bce_loss(Tensor(np.full((3, 7), 0.5)), Tensor(t))
+    loss = bce_loss(Tensor(np.zeros((3, 7))), Tensor(t))
     assert float(loss.data) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_bce_matches_naive_sum(rng):
     o = rng.uniform(0.05, 0.95, (4, 9))
     t = rng.uniform(0.0, 1.0, (4, 9))
-    loss = bce_loss(Tensor(o), Tensor(t))
+    loss = bce_loss(Tensor(np.log(o / (1 - o))), Tensor(t))
     expected = -(t * np.log(o) + (1 - t) * np.log(1 - o)).mean()
     assert float(loss.data) == pytest.approx(expected, abs=1e-10)
 
 
-def test_bce_bounded_by_clip(rng):
-    o = Tensor(np.array([[0.0, 1.0]]))
-    t = Tensor(np.array([[1.0, 0.0]]))
-    loss = float(bce_loss(o, t).data)
-    assert 0.0 <= loss <= -np.log(1e-7) + 1e-9
+def test_bce_confidently_wrong_keeps_gradient(rng):
+    cfg = no_dropout_config(8)
+    n_e = 5
+    params = zero_weight_params(cfg, np.full(n_e, -40.0))
+    out = conve_score(Tensor(rng.uniform(-1, 1, (1, 8))), Tensor(rng.uniform(-1, 1, (1, 8))),
+                      Tensor(rng.uniform(-1, 1, (n_e, 8))), params, cfg)
+    bce_loss(out, Tensor(np.full((1, n_e), 0.9))).backward()
+    # (sigmoid(-40) - 0.9) / N per cell, sigmoid(-40) being 4e-18
+    assert np.allclose(params["entity_bias"].grad, -0.9 / n_e, rtol=1e-12, atol=0.0)
+
+
+def test_bce_confidently_wrong_loss_is_unbounded():
+    loss = bce_loss(Tensor(np.array([[-800.0, 800.0]])), Tensor(np.array([[1.0, 0.0]])))
+    assert float(loss.data) == pytest.approx(800.0, abs=1e-9)
+
+
+def test_large_logits_rank_apart(rng):
+    cfg = no_dropout_config(8)
+    params = zero_weight_params(cfg, [40.0, 41.0, 0.0])
+    out = conve_score(Tensor(rng.uniform(-1, 1, (1, 8))), Tensor(rng.uniform(-1, 1, (1, 8))),
+                      Tensor(rng.uniform(-1, 1, (3, 8))), params, cfg)
+    no_known = np.empty(0, dtype=np.int64)
+    rank = filtered_rank(out.data.copy(), np.array([[1, 0, 0]]), no_known, n_relations=1)
+    assert rank.tolist() == [2.0]       # logit 40 ranks below 41, not tied with it
 
 
 def test_decoder_gradient_finite_differences(rng):

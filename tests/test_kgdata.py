@@ -144,6 +144,10 @@ def test_kg_serialization_round_trip(tmp_path):
     assert np.array_equal(back.valid, kg.valid)
     assert back.entities.surfaces() == kg.entities.surfaces()
     assert back.relations.surfaces() == kg.relations.surfaces()
+    # the file lands at exactly the path given, with no ".npz" appended
+    save_kg(kg, tmp_path / "kg")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kg", "kg.npz"]
+    assert load_kg(tmp_path / "kg").entities.surfaces() == kg.entities.surfaces()
 
 
 def test_kg_file_holds_no_object_arrays(tmp_path):

@@ -207,6 +207,26 @@ def test_graph_serialization_round_trip(tmp_path, rng):
     assert path.read_bytes() == path2.read_bytes()
 
 
+class _FailingRecords(np.ndarray):
+    """Edge records whose bytes cannot be produced, so a save fails after its header."""
+
+    def tobytes(self, order="C"):
+        raise OSError("no space left on device")
+
+
+def test_failed_graph_save_leaves_previous_file(tmp_path, rng):
+    kg = random_kg(rng, 30, 3, 200)
+    graph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 10), 0.5, kg.n_entities)
+    path = tmp_path / "proximity_graph.bin"
+    save_proximity_graph(graph, path)
+    before = path.read_bytes()
+    graph.edges = graph.edges[:-1].view(_FailingRecords)
+    with pytest.raises(OSError):
+        save_proximity_graph(graph, path)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_graph_tsv_export(tmp_path):
     spm = SPMMatrix(spm_records({(1, 2): 2.25, (0, 1): 1.5}), M=4)
     graph = build_proximity_graph(spm, 1.0, 3)
