@@ -327,20 +327,6 @@ def dropout(a: Tensor, rate: float, seed: int, layer_id: int, step: int, trainin
     return _make(out, (a,), bw)
 
 
-def _scatter_rows(ids, rows, n):
-    """Sum rows[k] into row ids[k] of an [n, ...] zero table, in index order.
-
-    One bincount over the flat (id * width + column) positions. bincount
-    adds its weights in input order starting from 0.0, so the result is
-    bit-identical to ``np.add.at`` on a zero table.
-    """
-    width = int(np.prod(rows.shape[1:]))
-    flat = (ids * width)[:, None] + np.arange(width)
-    out = np.bincount(flat.ravel(), weights=rows.reshape(len(ids), width).ravel(),
-                      minlength=n * width)
-    return out.astype(DEFAULT_DTYPE, copy=False).reshape((n,) + rows.shape[1:])
-
-
 def _row_ids(ids, n: int) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
@@ -349,12 +335,18 @@ def _row_ids(ids, n: int) -> np.ndarray:
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Row lookup; backward scatter-adds into duplicate ids."""
-    ids = _row_ids(ids, table.data.shape[0])
+    """Row lookup; the backward is A^T @ g with the CSR matrix A holding 1 at (k, ids[k]).
+
+    As in edge_sum, each row sums its gradients in index order, bit for bit as np.add.at.
+    """
+    n = table.data.shape[0]
+    ids = _row_ids(ids, n)
     out = table.data[ids]
 
     def bw(g):
-        return [(table, _scatter_rows(ids, g, table.data.shape[0]))]
+        A = sparse.csr_array((np.ones(len(ids)), (np.arange(len(ids)), ids)), shape=(len(ids), n))
+        rows = g.reshape(len(ids), int(np.prod(table.data.shape[1:])))
+        return [(table, (A.T @ rows).reshape(table.data.shape))]
 
     return _make(out, (table,), bw)
 

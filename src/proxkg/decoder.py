@@ -32,11 +32,9 @@ def default_reshape(dim: int) -> tuple[int, int]:
     return best, dim // best
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderConfig:
     dim: int = 200
-    reshape_h: int = 0       # 0 selects the default rule
-    reshape_w: int = 0
     n_filters: int = 32
     kernel: int = 3
     dropout_input: float = 0.2
@@ -44,13 +42,11 @@ class DecoderConfig:
     dropout_hidden: float = 0.3
 
     def __post_init__(self):
-        if self.reshape_h == 0 or self.reshape_w == 0:
-            self.reshape_h, self.reshape_w = default_reshape(self.dim)
+        self.validate()
 
     def validate(self) -> None:
-        if self.reshape_h * self.reshape_w != self.dim:
-            raise ContractError(
-                f"reshape {self.reshape_h}x{self.reshape_w} does not cover dim {self.dim}")
+        if self.dim <= 0:
+            raise ContractError(f"embedding dim must be positive, got {self.dim}")
         if self.kernel < 1 or self.n_filters < 1:
             raise ContractError(
                 f"kernel and n_filters must be at least 1, got {self.kernel} and {self.n_filters}")
@@ -60,6 +56,14 @@ class DecoderConfig:
         for name in ("dropout_input", "dropout_feature", "dropout_hidden"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must be in [0,1), got {getattr(self, name)}")
+
+    @property
+    def reshape_h(self) -> int:
+        return default_reshape(self.dim)[0]
+
+    @property
+    def reshape_w(self) -> int:
+        return default_reshape(self.dim)[1]
 
     @property
     def conv_out_hw(self) -> tuple[int, int]:
@@ -72,7 +76,6 @@ class DecoderConfig:
 
 
 def init_decoder_params(config: DecoderConfig, n_entities: int, rng: np.random.Generator) -> dict:
-    config.validate()
     bound = 1.0 / np.sqrt(config.dim)
 
     def u(*shape):
@@ -90,7 +93,6 @@ def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: 
                 config: DecoderConfig, training: bool = False, seed: int = 0,
                 step: int = 0) -> Tensor:
     """Match a batch of queries against all entities; returns logits [B, n_e]."""
-    config.validate()
     B = h_embed.shape[0]
     if h_embed.shape[1] != config.dim:
         raise ContractError(f"query dim {h_embed.shape[1]} does not match decoder dim {config.dim}")

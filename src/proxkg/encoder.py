@@ -23,7 +23,7 @@ COMPOSITIONS = ("additive", "multiplicative", "mlp")
 WEIGHT_SCHEMES = ("prior", "gcn", "attention")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     dim: int = 200
     kg_layers: int = 1
@@ -32,6 +32,9 @@ class EncoderConfig:
     weight_scheme: str = "attention"
     kg_only: bool = False
     allow_any_depth: bool = False
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.dim <= 0:
@@ -167,7 +170,6 @@ def encode(params: dict, adj: RelationalAdjacency, prox: ProximityAdjacency | No
     embedding; with kg_only the proximity stage is skipped and the first
     stage's output feeds the decoder directly.
     """
-    config.validate()
     E = params["entity_embed"]
     R = params["relation_embed"]
     for l in range(config.kg_layers):
@@ -185,7 +187,6 @@ def encode(params: dict, adj: RelationalAdjacency, prox: ProximityAdjacency | No
 def init_encoder_params(config: EncoderConfig, n_entities: int, n_relations: int,
                         rng: np.random.Generator) -> dict:
     """Uniform init in [-1/sqrt(d), 1/sqrt(d)] for all embeddings and transforms."""
-    config.validate()
     d = config.dim
     bound = 1.0 / np.sqrt(d)
 

@@ -80,15 +80,16 @@ def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | No
     """Encodes once under the full (undropped) graph; returns ``score(queries)``.
 
     ``score`` maps a [B, 2] (anchor, relation) block to its [B, n_e] logit
-    matrix. Only constants are kept, so the encoder graph is freed.
+    matrix. Parameters are wrapped as constants, so no op records a backward graph.
     """
+    params = {name: Tensor(p.data) for name, p in params.items()}
     adj = RelationalAdjacency(kg.train, None, kg.n_entities)
-    E_const, R_const = (Tensor(t.data) for t in encode(params, adj, prox, encoder_config))
+    E, R = encode(params, adj, prox, encoder_config)
 
     def score(queries: np.ndarray) -> np.ndarray:
-        h = Tensor(E_const.data[queries[:, 0]])
-        r = Tensor(R_const.data[queries[:, 1]])
-        return conve_score(h, r, E_const, params, decoder_config, training=False).data
+        h = Tensor(E.data[queries[:, 0]])
+        r = Tensor(R.data[queries[:, 1]])
+        return conve_score(h, r, E, params, decoder_config, training=False).data
 
     return score
 

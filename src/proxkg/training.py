@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation
 from .autodiff import Tensor
-from .decoder import DecoderConfig, bce_loss, conve_score, init_decoder_params
+from .decoder import DecoderConfig, bce_loss, conve_score, default_reshape, init_decoder_params
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
                       encode, init_encoder_params)
 from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, query_answers,
@@ -41,7 +41,7 @@ GRID_KEYS = ("batch_size", "learning_rate", "dim", "kg_layers", "prox_layers",
              "edge_drop_rate", "M", "I", "seed", "epochs")
 
 _CKPT_MAGIC = b"PKCK"
-_CKPT_VERSION = 2                   # 1 also stored an unused decoder_config.label_smoothing
+_CKPT_VERSION = 3   # 1 and 2 also stored the decoder reshape, 1 an unused label_smoothing
 _CKPT_HEAD = struct.Struct("<IQ")    # version, JSON header length
 
 
@@ -49,7 +49,7 @@ class NumericError(Exception):
     """Training diverged to a non-finite loss."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 3e-4
@@ -60,6 +60,9 @@ class TrainConfig:
     seed: int = 0
     label_smoothing: float = 0.1
     allow_off_grid: bool = False
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.optimizer not in ("sgd", "adam"):
@@ -86,17 +89,14 @@ class TrainConfig:
 
 
 def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainConfig]:
-    """Validated encoder, decoder and train configs from one flat ``key -> value`` dict.
+    """Encoder, decoder and train configs from one flat ``key -> value`` dict.
 
     Each config takes the keys named like its fields, so a shared key such as
     ``dim`` reaches every config that has it; an absent key keeps the
-    field's default, and keys no config has are ignored.
+    field's default, and keys no config has are ignored. Each config checks itself.
     """
-    configs = tuple(cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
-                    for cls in (EncoderConfig, DecoderConfig, TrainConfig))
-    for config in configs:
-        config.validate()
-    return configs
+    return tuple(cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
+                 for cls in (EncoderConfig, DecoderConfig, TrainConfig))
 
 
 def proximity_settings(settings: dict) -> tuple[int, float]:
@@ -258,7 +258,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         if len(head) != _CKPT_HEAD.size:
             raise DataError(f"truncated checkpoint header in {path}")
         version, hlen = _CKPT_HEAD.unpack(head)
-        if version not in (1, _CKPT_VERSION):
+        if version not in (1, 2, _CKPT_VERSION):
             raise ContractError(f"unsupported checkpoint version {version}")
         raw = fh.read(hlen)
         if len(raw) != hlen:
@@ -267,7 +267,12 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             header = json.loads(raw.decode())
         except ValueError as exc:
             raise DataError(f"damaged checkpoint header in {path}: {exc}") from None
-        header["decoder_config"].pop("label_smoothing", None)   # only version 1 stored it
+        decoder = header["decoder_config"]
+        decoder.pop("label_smoothing", None)
+        stored = decoder.pop("reshape_h", None), decoder.pop("reshape_w", None)
+        if stored != (None, None) and stored != default_reshape(decoder["dim"]):
+            raise ContractError(f"checkpoint decoder reshape {stored} is not default_reshape("
+                                f"{decoder['dim']}), so its fc_W cannot fit the decoder")
         blobs = {}
         for spec in header["blobs"]:
             shape = tuple(spec["shape"])
@@ -287,9 +292,6 @@ class Trainer:
     def __init__(self, kg: KnowledgeGraph, pgraph: ProximityGraph | None,
                  encoder_config: EncoderConfig, decoder_config: DecoderConfig,
                  train_config: TrainConfig):
-        encoder_config.validate()
-        decoder_config.validate()
-        train_config.validate()
         if encoder_config.dim != decoder_config.dim:
             raise ContractError("encoder and decoder dims differ")
         if not kg.augmented:
@@ -307,7 +309,6 @@ class Trainer:
         self.epoch = 0
         self.global_step = 0
         self.best_valid_mrr = None
-        self.best_params = None
 
     def _zero_grads(self):
         for p in self.params.values():
@@ -362,7 +363,6 @@ class Trainer:
                     record["valid_mrr"] = mrr
                     if self.best_valid_mrr is None or mrr > self.best_valid_mrr:
                         self.best_valid_mrr = mrr
-                        self.best_params = {k: p.data.copy() for k, p in self.params.items()}
                         if checkpoint_path:
                             self.save(checkpoint_path)
                 log.append(record)
@@ -371,7 +371,7 @@ class Trainer:
                 if not quiet:
                     print(f"epoch {record['epoch']}: loss={train_loss:.4f}"
                           + (f" valid_mrr={record['valid_mrr']:.4f}" if record["valid_mrr"] else ""))
-            if checkpoint_path and self.best_params is None:
+            if checkpoint_path and self.best_valid_mrr is None:    # no validated best to keep
                 self.save(checkpoint_path)
         finally:
             if log_fh:
@@ -436,8 +436,10 @@ def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,
     trials = []
     for cell, ((enc, dec, trn), (M, I)) in zip(cells, checked):
         trainer = Trainer(kg, None if enc.kg_only else pgraph(M, I), enc, dec, trn)
-        trainer.train()
-        mrr = trainer.valid_mrr() if len(kg.valid) else float("nan")
+        log = trainer.train()
+        mrr = log[-1]["valid_mrr"] if log else None    # the final params, if just validated
+        if mrr is None:
+            mrr = trainer.valid_mrr() if len(kg.valid) else float("nan")
         trials.append({**cell, "M": M, "I": I, "seed": trn.seed, "valid_mrr": mrr})
     trials.sort(key=lambda row: (-(row["valid_mrr"] if np.isfinite(row["valid_mrr"]) else -np.inf)))
     return {"trials": trials, "complete": complete}

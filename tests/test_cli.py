@@ -54,7 +54,7 @@ def test_config_keys_are_config_fields_or_run_keys():
             assert field_types.setdefault(name, type(value)) is type(value), name
     for key, kind in CONFIG_KEYS.items():
         assert key in RUN_KEYS or field_types.get(key) is kind, key
-    assert set(field_types) - set(CONFIG_KEYS) == {"reshape_h", "reshape_w"}
+    assert set(field_types) - set(CONFIG_KEYS) == set()
     assert not RUN_KEYS & set(field_types)
 
 

@@ -51,8 +51,6 @@ def test_shape_arithmetic():
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        DecoderConfig(dim=8, reshape_h=3, reshape_w=3).validate()
-    with pytest.raises(ContractError):
         DecoderConfig(dim=8, kernel=5).validate()  # stacked input is 4x4
     for bad in (dict(kernel=0), dict(n_filters=0), dict(dropout_input=1.0),
                 dict(dropout_feature=-0.1), dict(dropout_hidden=float("nan"))):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,9 @@ def ref_gather_dot(table, ids, other):
     rows = table.data[ids]
 
     def bw(g):
-        return [(table, ad._scatter_rows(ids, g[:, None] * other.data, table.data.shape[0])),
-                (other, g[:, None] * rows)]
+        g_table = np.zeros(table.data.shape)
+        np.add.at(g_table, ids, g[:, None] * other.data)
+        return [(table, g_table), (other, g[:, None] * rows)]
 
     return ad._make(np.einsum("ij,ij->i", rows, other.data), (table, other), bw)
 
@@ -70,7 +73,8 @@ def ref_segment_weighted_sum(values, weights, segments, n):
         return [(values, g_rows * weights.data[:, None]),
                 (weights, np.einsum("ij,ij->i", g_rows, values.data))]
 
-    out = ad._scatter_rows(segments, values.data * weights.data[:, None], n)
+    out = np.zeros((n,) + values.data.shape[1:])
+    np.add.at(out, segments, values.data * weights.data[:, None])
     return ad._make(out, (values, weights), bw)
 
 
@@ -254,7 +258,7 @@ def test_encode_full_matches_naive_chain(rng):
 
 def test_ablation_ignores_proximity_graph(rng):
     kg, config, params, pgraph, adj = toy_setup(rng)
-    config.kg_only = True
+    config = dataclasses.replace(config, kg_only=True)
     E1, R1 = encode(params, adj, ProximityAdjacency(pgraph), config)
     # perturb the proximity weights arbitrarily
     pgraph.edges["w"] = pgraph.edges["w"] * 7.5 + 1.0

@@ -275,6 +275,28 @@ def test_evaluate_model_scores_match_per_case_oracle():
     assert got == {**metrics_from_ranks(want), "split": "test"}
 
 
+def test_evaluation_records_no_autodiff_graph(rng, monkeypatch):
+    kg = augment_inverse(toy_kg(rng, 8, 3, 15))
+    enc = EncoderConfig(dim=8, kg_only=True)
+    dec = DecoderConfig(dim=8, n_filters=4, kernel=2)
+    params = init_encoder_params(enc, kg.n_entities, kg.n_relations, rng)
+    params.update(init_decoder_params(dec, kg.n_entities, rng))
+    outputs = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            outputs.extend(out if isinstance(out, tuple) else [out])
+            return out
+        return call
+
+    monkeypatch.setattr(ev, "encode", recorded(ev.encode))
+    monkeypatch.setattr(ev, "conve_score", recorded(ev.conve_score))
+    evaluate(params, kg, None, enc, dec, split="train")
+    assert len(outputs) > 2
+    assert all(out._backward is None and not out._parents for out in outputs)
+
+
 def test_ntype_binning():
     def ntype_of(n):
         return NTYPE_LABELS[ntype_bins([n])[0]]

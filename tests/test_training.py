@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -22,6 +23,11 @@ TOY_SETTINGS = dict(dim=8, kg_layers=1, prox_layers=1, n_filters=4, kernel=2,
                     dropout_input=0.0, dropout_feature=0.0, dropout_hidden=0.0,
                     label_smoothing=0.1, batch_size=16, learning_rate=1e-2, epochs=3,
                     edge_drop_rate=0.1, seed=5, allow_off_grid=True)
+
+
+def validated_kg(seed=3):
+    """A toy knowledge graph with a validation split."""
+    return augment_inverse(random_kg(np.random.default_rng(seed), 8, 3, 20, n_valid=4))
 
 
 def toy_pipeline(rng, kg_only=False, **train_kw):
@@ -50,6 +56,18 @@ def test_make_configs_routes_keys_to_every_config():
 def test_make_configs_validates_each_config(bad):
     with pytest.raises(ContractError):
         make_configs({**TOY_SETTINGS, **bad})
+
+
+@pytest.mark.parametrize("cls, bad", [(EncoderConfig, {"dim": 0}), (DecoderConfig, {"dim": -4}),
+                                      (DecoderConfig, {"kernel": 0}),
+                                      (TrainConfig, {"eval_every": -1})])
+def test_configs_are_checked_when_built_and_frozen(cls, bad):
+    with pytest.raises(ContractError):
+        cls(**bad)
+    config = cls()
+    name, value = next(iter(bad.items()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, value)
 
 
 @pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5])
@@ -305,27 +323,65 @@ def test_checkpoint_trailing_bytes_is_data_error(tmp_path, checkpoint_bytes):
         load_checkpoint(path)
 
 
-def test_checkpoint_version_1_restores(tmp_path):
-    """A version-1 file also stores decoder_config.label_smoothing; it loads without it."""
-    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
-    trainer = Trainer(kg, pg, enc, dec, trn)
-    trainer.train()
-    path = tmp_path / "v2.bin"
+def older_checkpoint(tmp_path, trainer, version, **decoder_fields):
+    """The trainer's checkpoint, rewritten as ``version`` with extra stored decoder fields."""
+    path = tmp_path / "current.bin"
     trainer.save(path)
     blob = path.read_bytes()
     end = _json_header_end(blob)
     header = json.loads(blob[16:end])
-    header["decoder_config"]["label_smoothing"] = 0.1
+    header["decoder_config"].update(decoder_fields)
     raw = json.dumps(header).encode()
-    v1 = tmp_path / "v1.bin"
-    v1.write_bytes(b"PKCK" + struct.pack("<IQ", 1, len(raw)) + raw + blob[end:])
+    old = tmp_path / f"v{version}.bin"
+    old.write_bytes(b"PKCK" + struct.pack("<IQ", version, len(raw)) + raw + blob[end:])
+    return old
 
-    restored = Trainer.restore(v1, kg, pg)
+
+def assert_older_checkpoint_restores(tmp_path, version, **decoder_fields):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    trainer.train()
+    old = older_checkpoint(tmp_path, trainer, version, **decoder_fields)
+
+    restored = Trainer.restore(old, kg, pg)
     assert restored.decoder_config == dec
     for k, p in trainer.params.items():
         assert np.array_equal(p.data, restored.params[k].data), k
     assert restored.run_epoch() == trainer.run_epoch()
-    assert params_from_checkpoint(v1)[2] == dec
+    assert params_from_checkpoint(old)[2] == dec
+
+
+def test_checkpoint_version_1_restores(tmp_path):
+    """A version-1 file also stores decoder_config.label_smoothing and the reshape; it loads
+    without them."""
+    assert_older_checkpoint_restores(tmp_path, 1, label_smoothing=0.1, reshape_h=2, reshape_w=4)
+
+
+def test_checkpoint_version_2_restores(tmp_path):
+    """A version-2 file stores the decoder reshape, which is always default_reshape(dim)."""
+    assert_older_checkpoint_restores(tmp_path, 2, reshape_h=2, reshape_w=4)
+
+
+def test_checkpoint_version_2_other_reshape_is_contract_error(tmp_path):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    v2 = older_checkpoint(tmp_path, Trainer(kg, pg, enc, dec, trn), 2, reshape_h=1, reshape_w=8)
+    with pytest.raises(ContractError):
+        load_checkpoint(v2)
+
+
+def test_restored_run_keeps_best_checkpoint(tmp_path):
+    """A resumed run that does not beat the restored best MRR leaves the best checkpoint alone."""
+    kg = validated_kg()
+    pg = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
+    enc, dec, trn = make_configs({**TOY_SETTINGS, "learning_rate": 0.0, "eval_every": 1,
+                                  "epochs": 1})
+    path = tmp_path / "best.bin"
+    Trainer(kg, pg, enc, dec, trn).train(checkpoint_path=path)
+    before = path.read_bytes()
+    restored = Trainer.restore(path, kg, pg)
+    log = restored.train(checkpoint_path=path)
+    assert log[-1]["valid_mrr"] == restored.best_valid_mrr      # validated, no improvement
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_unknown_version(tmp_path, checkpoint_bytes):
@@ -385,6 +441,24 @@ def test_grid_search_trial_matches_run_of_its_settings(rng):
                                   "learning_rate": 0.5})
     assert seen == [(enc, dec, trn)]
     assert (dec.reshape_h, dec.reshape_w) == (2, 3)
+
+
+@pytest.mark.parametrize("eval_every, n_evaluations", [(1, 2), (0, 1)])
+def test_grid_search_reuses_the_final_validation(monkeypatch, eval_every, n_evaluations):
+    kg = validated_kg()
+    mrrs = []
+    real_evaluate = training.evaluation.evaluate
+
+    def record(*args, **kwargs):
+        result = real_evaluate(*args, **kwargs)
+        mrrs.append(result["mrr"])
+        return result
+
+    monkeypatch.setattr(training.evaluation, "evaluate", record)
+    result = grid_search(kg, {"seed": [1]},
+                         {**GRID_SETTINGS, "M": 4, "epochs": 2, "eval_every": eval_every})
+    assert len(mrrs) == n_evaluations
+    assert result["trials"][0]["valid_mrr"] == mrrs[-1]
 
 
 def test_grid_search_validates_every_trial_before_training(rng):
