@@ -23,9 +23,9 @@ from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, aug
 from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_tsv,
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
-from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, config_digest,
-                       grid_search, make_configs, params_from_checkpoint, proximity_settings,
-                       write_trial_table)
+from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, checkpoint_model,
+                       config_digest, grid_search, load_checkpoint, make_configs,
+                       proximity_settings, write_trial_table)
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
@@ -35,7 +35,7 @@ CONFIG_KEYS = {
     "pgraph_path": str, "checkpoint_path": str, "eval_split": str, "seed": int, "budget": int,
     "M": int, "I": float,
     "dim": int, "kg_layers": int, "prox_layers": int, "composition": str, "weight_scheme": str,
-    "kg_only": bool, "allow_any_depth": bool,
+    "kg_only": bool,
     "n_filters": int, "kernel": int, "dropout_input": float, "dropout_feature": float,
     "dropout_hidden": float, "label_smoothing": float,
     "batch_size": int, "learning_rate": float, "optimizer": str, "epochs": int,
@@ -86,10 +86,10 @@ def load_run_config(args) -> dict:
     return cfg
 
 
-def provenance(cfg: dict, enc=None, dec=None, trn=None) -> dict:
-    header = {"tool_version": __version__, "seed": cfg.get("seed", TrainConfig.seed)}
-    if enc and dec and trn:
-        header["config_digest"] = config_digest(enc, dec, trn)
+def provenance(seed: int, digest: str | None = None) -> dict:
+    header = {"tool_version": __version__, "seed": seed}
+    if digest is not None:
+        header["config_digest"] = digest
     return header
 
 
@@ -113,7 +113,7 @@ def cmd_ingest(args) -> int:
     kg = ingest_dataset(cfg["train_path"], cfg["valid_path"], cfg["test_path"])
     out = _out_dir(cfg)
     save_kg(kg, os.path.join(out, "kg.npz"))
-    report = {"provenance": provenance(cfg), **kg.report}
+    report = {"provenance": provenance(cfg.get("seed", TrainConfig.seed)), **kg.report}
     _write_json(os.path.join(out, "ingest_report.json"), report)
     print(json.dumps(kg.report["counts"]))
     return EXIT_OK
@@ -136,7 +136,8 @@ def cmd_build_proximity(args) -> int:
     out = _out_dir(cfg)
     save_proximity_graph(graph, os.path.join(out, "proximity_graph.bin"))
     export_proximity_tsv(graph, os.path.join(out, "proximity_graph.tsv"))
-    stats = {"provenance": provenance(cfg), **proximity_stats(graph)}
+    stats = {"provenance": provenance(cfg.get("seed", TrainConfig.seed)),
+             **proximity_stats(graph)}
     _write_json(os.path.join(out, "proximity_stats.json"), stats)
     if graph.n_edges == 0:
         print("warning: proximity graph is empty (threshold above the maximum "
@@ -173,7 +174,8 @@ def cmd_train(args) -> int:
     trainer = Trainer(kg, pgraph, enc, dec, trn)
     log_path = os.path.join(out, "metrics.jsonl")
     with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"provenance": provenance(cfg, enc, dec, trn)}) + "\n")
+        fh.write(json.dumps({"provenance": provenance(trn.seed, config_digest(enc, dec, trn))})
+                 + "\n")
     trainer.train(log_path=log_path, checkpoint_path=ckpt_path, quiet=args.quiet)
     print(json.dumps({"checkpoint": ckpt_path, "epochs": trainer.epoch,
                       "best_valid_mrr": trainer.best_valid_mrr}))
@@ -185,21 +187,24 @@ def _checkpoint_path(cfg) -> str:
 
 
 def _checkpoint_setup(cfg, kg):
+    """The checkpoint's model and proximity adjacency, and the provenance of what it scores."""
     path = _checkpoint_path(cfg)
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
-    params, enc, dec = params_from_checkpoint(path)
+    header, blobs = load_checkpoint(path)
+    params, enc, dec = checkpoint_model(header, blobs)
     pgraph = _load_pgraph(cfg, kg, enc)
     prox = None if pgraph is None else ProximityAdjacency(pgraph)
-    return params, enc, dec, prox
+    return params, enc, dec, prox, provenance(header["train_config"]["seed"],
+                                              header["config_digest"])
 
 
 def cmd_evaluate(args) -> int:
     cfg, kg = _load_run(args)
-    params, enc, dec, prox = _checkpoint_setup(cfg, kg)
+    params, enc, dec, prox, prov = _checkpoint_setup(cfg, kg)
     split = cfg.get("eval_split", "test")
     metrics = evaluate(params, kg, prox, enc, dec, split=split)
-    payload = {"provenance": provenance(cfg), **metrics}
+    payload = {"provenance": prov, **metrics}
     _write_json(os.path.join(_out_dir(cfg), f"metrics_{split}.json"), payload)
     print(json.dumps(metrics))
     return EXIT_OK
@@ -211,7 +216,7 @@ def cmd_ntype(args) -> int:
     report = ntype_report(kg, split)
     out = _out_dir(cfg)
     _write_json(os.path.join(out, "ntype_report.json"),
-                {"provenance": provenance(cfg), **report})
+                {"provenance": provenance(cfg.get("seed", TrainConfig.seed)), **report})
     with atomic_write(os.path.join(out, "ntype_table.tsv"), "w", encoding="utf-8") as fh:
         fh.write("range\tcount\trate\n")
         for row in report["ranges"]:
@@ -219,10 +224,9 @@ def cmd_ntype(args) -> int:
         fh.write(f"Total\t{report['total']}\t1.0\n")
     ckpt = _checkpoint_path(cfg)
     if os.path.exists(ckpt):
-        params, enc, dec, prox = _checkpoint_setup(cfg, kg)
+        params, enc, dec, prox, prov = _checkpoint_setup(cfg, kg)
         breakdown = ntype_mrr_breakdown(params, kg, prox, enc, dec, split=split)
-        _write_json(os.path.join(out, "ntype_mrr.json"),
-                    {"provenance": provenance(cfg), **breakdown})
+        _write_json(os.path.join(out, "ntype_mrr.json"), {"provenance": prov, **breakdown})
     print(json.dumps({r["label"]: r["count"] for r in report["ranges"]}))
     return EXIT_OK
 

@@ -31,7 +31,6 @@ class EncoderConfig:
     composition: str = "additive"
     weight_scheme: str = "attention"
     kg_only: bool = False
-    allow_any_depth: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -43,10 +42,8 @@ class EncoderConfig:
             raise ContractError(f"unknown composition {self.composition!r}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise ContractError(f"unknown weight scheme {self.weight_scheme!r}")
-        if not self.allow_any_depth:
-            for name, val in (("kg_layers", self.kg_layers), ("prox_layers", self.prox_layers)):
-                if val not in (1, 2, 3):
-                    raise ContractError(f"{name} must be in {{1,2,3}} (set allow_any_depth to override)")
+        if self.kg_layers < 0 or self.prox_layers < 0:
+            raise ContractError("kg_layers and prox_layers must be non-negative")
 
 
 class RelationalAdjacency:

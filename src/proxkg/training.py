@@ -41,7 +41,7 @@ GRID_KEYS = ("batch_size", "learning_rate", "dim", "kg_layers", "prox_layers",
              "edge_drop_rate", "M", "I", "seed", "epochs")
 
 _CKPT_MAGIC = b"PKCK"
-_CKPT_VERSION = 3   # 1 and 2 also stored the decoder reshape, 1 an unused label_smoothing
+_CKPT_VERSION = 4   # 1-3 also stored two grid-permission flags, 1-2 the reshape, 1 label_smoothing
 _CKPT_HEAD = struct.Struct("<IQ")    # version, JSON header length
 
 
@@ -59,7 +59,6 @@ class TrainConfig:
     eval_every: int = 0          # 0 disables periodic validation
     seed: int = 0
     label_smoothing: float = 0.1
-    allow_off_grid: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -77,15 +76,6 @@ class TrainConfig:
             raise ContractError(f"eval_every must be non-negative, got {self.eval_every}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ContractError("label_smoothing must be in [0,1)")
-        if not self.allow_off_grid:
-            if self.batch_size not in GRID_BATCH_SIZES:
-                raise ContractError(
-                    f"batch_size {self.batch_size} outside the published grid {GRID_BATCH_SIZES}; "
-                    "set allow_off_grid to override")
-            if self.edge_drop_rate not in GRID_DROP_RATES:
-                raise ContractError(
-                    f"edge_drop_rate {self.edge_drop_rate} outside the published grid "
-                    f"{GRID_DROP_RATES}; set allow_off_grid to override")
 
 
 def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainConfig]:
@@ -93,10 +83,21 @@ def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainCon
 
     Each config takes the keys named like its fields, so a shared key such as
     ``dim`` reaches every config that has it; an absent key keeps the
-    field's default, and keys no config has are ignored. Each config checks itself.
+    field's default, and keys no config has are ignored. Each config checks itself;
+    unless ``allow_off_grid`` is set, the depths, batch size and edge-removal rate
+    must also lie on the published grid.
     """
-    return tuple(cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
-                 for cls in (EncoderConfig, DecoderConfig, TrainConfig))
+    enc, dec, trn = (cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
+                     for cls in (EncoderConfig, DecoderConfig, TrainConfig))
+    if not settings.get("allow_off_grid"):
+        for name, value, grid in (("kg_layers", enc.kg_layers, GRID_LAYERS),
+                                  ("prox_layers", enc.prox_layers, GRID_LAYERS),
+                                  ("batch_size", trn.batch_size, GRID_BATCH_SIZES),
+                                  ("edge_drop_rate", trn.edge_drop_rate, GRID_DROP_RATES)):
+            if value not in grid:
+                raise ContractError(f"{name} {value} outside the published grid {grid}; "
+                                    "set allow_off_grid to override")
+    return enc, dec, trn
 
 
 def proximity_settings(settings: dict) -> tuple[int, float]:
@@ -258,7 +259,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         if len(head) != _CKPT_HEAD.size:
             raise DataError(f"truncated checkpoint header in {path}")
         version, hlen = _CKPT_HEAD.unpack(head)
-        if version not in (1, 2, _CKPT_VERSION):
+        if not 1 <= version <= _CKPT_VERSION:
             raise ContractError(f"unsupported checkpoint version {version}")
         raw = fh.read(hlen)
         if len(raw) != hlen:
@@ -267,6 +268,8 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             header = json.loads(raw.decode())
         except ValueError as exc:
             raise DataError(f"damaged checkpoint header in {path}: {exc}") from None
+        header["encoder_config"].pop("allow_any_depth", None)
+        header["train_config"].pop("allow_off_grid", None)
         decoder = header["decoder_config"]
         decoder.pop("label_smoothing", None)
         stored = decoder.pop("reshape_h", None), decoder.pop("reshape_w", None)
@@ -348,12 +351,12 @@ class Trainer:
                                    self.decoder_config, split="valid")["mrr"]
 
     def train(self, log_path=None, checkpoint_path=None, quiet=True) -> list[dict]:
-        """Runs the configured number of epochs, tracking the best validation MRR."""
+        """Runs the epochs left of the configured count, tracking the best validation MRR."""
         cfg = self.train_config
         log = []
         log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
         try:
-            for _ in range(cfg.epochs):
+            while self.epoch < cfg.epochs:
                 t0 = time.perf_counter()
                 train_loss = self.run_epoch()
                 record = {"epoch": self.epoch, "train_loss": train_loss,
@@ -401,9 +404,8 @@ class Trainer:
         return trainer
 
 
-def params_from_checkpoint(path) -> tuple[dict, EncoderConfig, DecoderConfig]:
-    """Parameter tensors only, for evaluation."""
-    header, blobs = load_checkpoint(path)
+def checkpoint_model(header: dict, blobs: dict) -> tuple[dict, EncoderConfig, DecoderConfig]:
+    """Parameter tensors and model configs of a loaded checkpoint, for evaluation."""
     params = {spec["name"]: Tensor(blobs[spec["name"]])
               for spec in header["blobs"] if not spec["name"].startswith("opt.")}
     return params, EncoderConfig(**header["encoder_config"]), DecoderConfig(**header["decoder_config"])

@@ -247,7 +247,7 @@ def test_criterion_7_overfit_sanity():
                         dropout_feature=0.0, dropout_hidden=0.0)
     trn = TrainConfig(batch_size=64, learning_rate=5e-3, optimizer="adam",
                       epochs=200, edge_drop_rate=0.1, label_smoothing=0.0,
-                      seed=0, allow_off_grid=True)
+                      seed=0)
     trainer = Trainer(kg, pgraph, enc, dec, trn)
     mrr = 0.0
     for _ in range(trn.epochs):
@@ -281,8 +281,7 @@ def test_criterion_8_ablation_direction():
             dec = DecoderConfig(dim=32, n_filters=8, kernel=3, dropout_input=0.1,
                                 dropout_feature=0.1, dropout_hidden=0.2)
             trn = TrainConfig(batch_size=256, learning_rate=1e-3, optimizer="adam",
-                              epochs=300, edge_drop_rate=0.1, seed=seed,
-                              allow_off_grid=True)
+                              epochs=300, edge_drop_rate=0.1, seed=seed)
             trainer = Trainer(kg, pgraph, enc, dec, trn)
             trainer.train()
             results[variant] = (

@@ -9,7 +9,7 @@ from proxkg.decoder import DecoderConfig
 from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError
 from proxkg.synth import clustered_kg, toy_kg, write_kg_files
-from proxkg.training import TrainConfig
+from proxkg.training import TrainConfig, load_checkpoint
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def test_config_file_parsing(tmp_path):
 
 # keys a command reads that are not fields of a config dataclass
 RUN_KEYS = {"train_path", "valid_path", "test_path", "out_dir", "kg_path", "pgraph_path",
-            "checkpoint_path", "eval_split", "budget", "M", "I"}
+            "checkpoint_path", "eval_split", "budget", "M", "I", "allow_off_grid"}
 
 
 def test_config_keys_are_config_fields_or_run_keys():
@@ -262,11 +262,36 @@ def test_cli_unknown_split_is_config_error(built_dir):
 
 
 @pytest.mark.parametrize("setting", ["dropout_input=1.0", "dropout_hidden=-0.1", "kernel=0",
-                                     "n_filters=0", "eval_every=-1", "learning_rate=nan"])
+                                     "n_filters=0", "eval_every=-1", "learning_rate=nan",
+                                     "kg_layers=-1"])
 def test_cli_out_of_range_model_setting_is_config_error(built_dir, setting):
     args = ["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN + ["--set", setting]
     assert run(args) == EXIT_CONFIG
     assert not (built_dir / "metrics.jsonl").exists()      # rejected before any training
+
+
+def test_cli_allow_off_grid_unlocks_depth(built_dir, capsys):
+    args = ["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN + ["--set", "kg_layers=4"]
+    capsys.readouterr()
+    assert run(args + ["--set", "batch_size=256", "--set", "allow_off_grid=false"]) \
+        == EXIT_CONFIG
+    assert "kg_layers" in capsys.readouterr().err
+    assert run(args + ["--set", "allow_any_depth=true"]) == EXIT_CONFIG      # an unknown key
+    assert not (built_dir / "metrics.jsonl").exists()
+    assert run(args) == EXIT_OK
+
+
+def test_cli_evaluation_outputs_name_their_checkpoint(built_dir):
+    args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
+    assert run(["train"] + args + ["--set", "seed=5"]) == EXIT_OK
+    header, _ = load_checkpoint(built_dir / "checkpoint.bin")
+    trained = json.loads((built_dir / "metrics.jsonl").read_text().splitlines()[0])
+    assert trained["provenance"]["config_digest"] == header["config_digest"]
+    assert run(["evaluate"] + args) == EXIT_OK          # no seed key
+    assert run(["ntype"] + args) == EXIT_OK
+    for name in ("metrics_test.json", "ntype_mrr.json"):
+        scored = json.loads((built_dir / name).read_text())["provenance"]
+        assert (scored["seed"], scored["config_digest"]) == (5, header["config_digest"]), name
 
 
 def test_cli_grid_starts_from_run_M_and_I(built_dir):

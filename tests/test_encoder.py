@@ -299,8 +299,8 @@ def test_config_validation():
     with pytest.raises(ContractError):
         EncoderConfig(dim=0).validate()
     with pytest.raises(ContractError):
-        EncoderConfig(kg_layers=5).validate()
-    EncoderConfig(kg_layers=5, allow_any_depth=True).validate()
+        EncoderConfig(prox_layers=-1).validate()
+    EncoderConfig(kg_layers=5, prox_layers=0).validate()     # the published grid is not checked here
     with pytest.raises(ContractError):
         EncoderConfig(composition="other").validate()
 

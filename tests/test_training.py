@@ -14,7 +14,7 @@ from proxkg.synth import random_kg, toy_kg
 from proxkg import training
 from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
                              build_batches, config_digest, grid_search,
-                             load_checkpoint, make_configs, params_from_checkpoint,
+                             checkpoint_model, load_checkpoint, make_configs,
                              save_checkpoint, train_query_table, write_trial_table)
 from conftest import kg_from_triples
 
@@ -43,7 +43,7 @@ def test_make_configs_routes_keys_to_every_config():
     assert dec == DecoderConfig(dim=8, n_filters=4, kernel=2, dropout_input=0.0,
                                 dropout_feature=0.0, dropout_hidden=0.0)
     assert trn == TrainConfig(batch_size=16, learning_rate=1e-2, epochs=3, edge_drop_rate=0.1,
-                              seed=5, label_smoothing=0.1, allow_off_grid=True)
+                              seed=5, label_smoothing=0.1)
     # shared keys reach both configs that have them; absent keys keep the field defaults
     enc, dec, trn = make_configs({"dim": 12, "label_smoothing": 0.3, "out_dir": "ignored"})
     assert (enc.dim, dec.dim, (dec.reshape_h, dec.reshape_w)) == (12, 12, (3, 4))
@@ -52,7 +52,8 @@ def test_make_configs_routes_keys_to_every_config():
     assert trn == TrainConfig(label_smoothing=0.3)
 
 
-@pytest.mark.parametrize("bad", [{"kg_layers": 4}, {"kernel": 99}, {"optimizer": "rmsprop"}])
+@pytest.mark.parametrize("bad", [{"kg_layers": 4, "allow_off_grid": False}, {"kernel": 99},
+                                 {"optimizer": "rmsprop"}])
 def test_make_configs_validates_each_config(bad):
     with pytest.raises(ContractError):
         make_configs({**TOY_SETTINGS, **bad})
@@ -76,13 +77,28 @@ def test_train_config_rejects_label_smoothing_outside_unit_interval(eps):
         TrainConfig(label_smoothing=eps).validate()
 
 
-def test_train_config_grid_validation():
+def test_make_configs_grid_validation():
+    with pytest.raises(ContractError, match="batch_size"):
+        make_configs({"batch_size": 100})
+    with pytest.raises(ContractError, match="edge_drop_rate"):
+        make_configs({"batch_size": 256, "edge_drop_rate": 0.2})
+    make_configs({"batch_size": 256, "edge_drop_rate": 0.3})
+    make_configs({"batch_size": 100, "allow_off_grid": True})
+    # depth is on the same grid, under the same switch
+    with pytest.raises(ContractError, match="kg_layers"):
+        make_configs({"kg_layers": 5})
+    with pytest.raises(ContractError, match="prox_layers"):
+        make_configs({"prox_layers": 5})
+    assert make_configs({"kg_layers": 5, "allow_off_grid": True})[0].kg_layers == 5
+    # a negative depth is no depth at all, whatever the switch
     with pytest.raises(ContractError):
-        TrainConfig(batch_size=100).validate()
-    with pytest.raises(ContractError):
-        TrainConfig(batch_size=256, edge_drop_rate=0.2).validate()
-    TrainConfig(batch_size=256, edge_drop_rate=0.3).validate()
-    TrainConfig(batch_size=100, allow_off_grid=True).validate()
+        make_configs({"kg_layers": -1, "allow_off_grid": True})
+
+
+def test_off_grid_switch_leaves_on_grid_configs_alone():
+    on_grid = {"kg_layers": 2, "prox_layers": 3, "batch_size": 512, "edge_drop_rate": 0.5}
+    assert (config_digest(*make_configs({**on_grid, "allow_off_grid": True}))
+            == config_digest(*make_configs(on_grid)))
 
 
 def test_query_table_and_multihot_targets(rng):
@@ -257,7 +273,7 @@ def test_checkpoint_header_fields(tmp_path, rng):
     assert header["config_digest"] == config_digest(enc, dec, trn)
     assert header["epoch"] == 1
     assert "entity_embed" in blobs
-    params, enc2, dec2 = params_from_checkpoint(path)
+    params, enc2, dec2 = checkpoint_model(header, blobs)
     assert enc2.dim == enc.dim
     assert not any(k.startswith("opt.") for k in params)
 
@@ -323,48 +339,56 @@ def test_checkpoint_trailing_bytes_is_data_error(tmp_path, checkpoint_bytes):
         load_checkpoint(path)
 
 
-def older_checkpoint(tmp_path, trainer, version, **decoder_fields):
-    """The trainer's checkpoint, rewritten as ``version`` with extra stored decoder fields."""
+def older_checkpoint(tmp_path, trainer, version, **stored):
+    """The trainer's checkpoint, rewritten as ``version`` with extra stored config fields,
+    given per header section (``decoder_config={...}``)."""
     path = tmp_path / "current.bin"
     trainer.save(path)
     blob = path.read_bytes()
     end = _json_header_end(blob)
     header = json.loads(blob[16:end])
-    header["decoder_config"].update(decoder_fields)
+    for section, extra in stored.items():
+        header[section].update(extra)
     raw = json.dumps(header).encode()
     old = tmp_path / f"v{version}.bin"
     old.write_bytes(b"PKCK" + struct.pack("<IQ", version, len(raw)) + raw + blob[end:])
     return old
 
 
-def assert_older_checkpoint_restores(tmp_path, version, **decoder_fields):
+# what versions 1-3 store beyond today's fields: every one the two grid permission flags,
+# 1 and 2 the decoder reshape (always default_reshape(dim)), 1 an unused label_smoothing
+OLDER_CHECKPOINT_FIELDS = {
+    1: dict(encoder_config={"allow_any_depth": False}, train_config={"allow_off_grid": False},
+            decoder_config={"label_smoothing": 0.1, "reshape_h": 2, "reshape_w": 4}),
+    2: dict(encoder_config={"allow_any_depth": False}, train_config={"allow_off_grid": True},
+            decoder_config={"reshape_h": 2, "reshape_w": 4}),
+    3: dict(encoder_config={"allow_any_depth": True}, train_config={"allow_off_grid": True}),
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLDER_CHECKPOINT_FIELDS))
+def test_checkpoint_older_version_restores(tmp_path, version):
+    """An older file loads without the fields today's configs no longer have."""
     kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
     trainer = Trainer(kg, pg, enc, dec, trn)
     trainer.train()
-    old = older_checkpoint(tmp_path, trainer, version, **decoder_fields)
+    old = older_checkpoint(tmp_path, trainer, version, **OLDER_CHECKPOINT_FIELDS[version])
 
     restored = Trainer.restore(old, kg, pg)
-    assert restored.decoder_config == dec
+    assert (restored.encoder_config, restored.decoder_config, restored.train_config) \
+        == (enc, dec, trn)
     for k, p in trainer.params.items():
         assert np.array_equal(p.data, restored.params[k].data), k
     assert restored.run_epoch() == trainer.run_epoch()
-    assert params_from_checkpoint(old)[2] == dec
-
-
-def test_checkpoint_version_1_restores(tmp_path):
-    """A version-1 file also stores decoder_config.label_smoothing and the reshape; it loads
-    without them."""
-    assert_older_checkpoint_restores(tmp_path, 1, label_smoothing=0.1, reshape_h=2, reshape_w=4)
-
-
-def test_checkpoint_version_2_restores(tmp_path):
-    """A version-2 file stores the decoder reshape, which is always default_reshape(dim)."""
-    assert_older_checkpoint_restores(tmp_path, 2, reshape_h=2, reshape_w=4)
+    for k, p in trainer.params.items():
+        assert np.array_equal(p.data, restored.params[k].data), k
+    assert checkpoint_model(*load_checkpoint(old))[1:] == (enc, dec)
 
 
 def test_checkpoint_version_2_other_reshape_is_contract_error(tmp_path):
     kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
-    v2 = older_checkpoint(tmp_path, Trainer(kg, pg, enc, dec, trn), 2, reshape_h=1, reshape_w=8)
+    v2 = older_checkpoint(tmp_path, Trainer(kg, pg, enc, dec, trn), 2,
+                          decoder_config={"reshape_h": 1, "reshape_w": 8})
     with pytest.raises(ContractError):
         load_checkpoint(v2)
 
@@ -374,14 +398,34 @@ def test_restored_run_keeps_best_checkpoint(tmp_path):
     kg = validated_kg()
     pg = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
     enc, dec, trn = make_configs({**TOY_SETTINGS, "learning_rate": 0.0, "eval_every": 1,
-                                  "epochs": 1})
+                                  "epochs": 2})
     path = tmp_path / "best.bin"
-    Trainer(kg, pg, enc, dec, trn).train(checkpoint_path=path)
+    first = Trainer(kg, pg, enc, dec, trn)      # a 2-epoch run, saved as its best after epoch 1
+    first.run_epoch()
+    first.best_valid_mrr = first.valid_mrr()
+    first.save(path)
     before = path.read_bytes()
     restored = Trainer.restore(path, kg, pg)
     log = restored.train(checkpoint_path=path)
     assert log[-1]["valid_mrr"] == restored.best_valid_mrr      # validated, no improvement
     assert path.read_bytes() == before
+
+
+def test_restored_run_trains_only_the_epochs_left(tmp_path):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(11), epochs=2)
+    whole = Trainer(kg, pg, enc, dec, trn)
+    whole.train()
+    cut = Trainer(kg, pg, enc, dec, trn)
+    cut.run_epoch()
+    path = tmp_path / "epoch1.bin"
+    cut.save(path)
+
+    restored = Trainer.restore(path, kg, pg)
+    log = restored.train()
+    assert [record["epoch"] for record in log] == [2]
+    assert (restored.epoch, restored.global_step) == (whole.epoch, whole.global_step)
+    for k, p in whole.params.items():
+        assert np.array_equal(p.data, restored.params[k].data), k
 
 
 def test_checkpoint_unknown_version(tmp_path, checkpoint_bytes):
@@ -469,7 +513,7 @@ def test_grid_search_validates_every_trial_before_training(rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training.Trainer, "train", fail)
-        for grid in ({"kg_layers": [1, 4]}, {"M": [4, 2]}, {"I": [1.0, -0.5]}):
+        for grid in ({"kg_layers": [1, -1]}, {"M": [4, 2]}, {"I": [1.0, -0.5]}):
             with pytest.raises(ContractError):
                 grid_search(kg, grid, GRID_SETTINGS)
 
