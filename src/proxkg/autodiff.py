@@ -275,30 +275,35 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
-    """Mean binary cross-entropy of sigmoid(logits) against constant targets.
+def bce_with_logits(logits: Tensor, targets, floor: float = 0.0) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(logits) against the constant targets
+    t = floor + targets, ``targets`` being a SciPy sparse [B, n] array.
 
     Each cell is max(x, 0) - t x + log1p(exp(-|x|)), computed from the logit
     x, so it neither overflows nor saturates: a confidently wrong cell keeps
-    its full loss and gradient. The backward is (sigmoid(x) - t) g / N over
-    the N cells; the targets get no gradient.
+    its full loss and gradient. The backward over the N cells is (sigmoid(x) - t) g / N.
     """
-    x, t = logits.data, targets.data
-    if x.shape != t.shape:
-        raise ValueError(f"logits {x.shape} and targets {t.shape} differ in shape")
+    x = logits.data
+    if x.shape != targets.shape:
+        raise ValueError(f"logits {x.shape} and targets {targets.shape} differ in shape")
+    t = sparse.coo_array(targets)
+    t.sum_duplicates()              # one stored value per cell, so forward and backward agree
+    at = (t.row, t.col)
     cells = np.abs(x)
     np.negative(cells, out=cells)
     np.exp(cells, out=cells)
     np.log1p(cells, out=cells)
     tmp = np.maximum(x, 0.0)
     cells += tmp
-    np.multiply(t, x, out=tmp)
+    np.multiply(x, floor, out=tmp)
     cells -= tmp
+    cells[at] -= t.data * x[at]
     out = cells.mean()
 
     def bw(g):
         grad = _sigmoid(x)
-        grad -= t
+        grad -= floor
+        grad[at] -= t.data
         grad *= g / x.size
         return [(logits, grad)]
 

@@ -1,8 +1,8 @@
 """Training loop, optimizers, checkpointing, and grid search.
 
-Training scores unique (anchor, relation) queries against multi-hot answer
-vectors over all entities. Each batch re-samples an edge-dropout view of
-the augmented train split for message passing; the loss targets always
+Training scores unique (anchor, relation) queries against a CSR table of
+their answers over all entities. Each batch re-samples an edge-dropout view
+of the augmented train split for message passing; the loss targets always
 keep every train answer, including dropped ones.
 """
 
@@ -17,6 +17,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from . import evaluation
@@ -72,6 +73,8 @@ class TrainConfig:
             raise ContractError("epochs, batch_size and learning_rate must be non-negative")
         if not np.isfinite(self.learning_rate):
             raise ContractError(f"learning_rate must be finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
         if self.eval_every < 0:
             raise ContractError(f"eval_every must be non-negative, got {self.eval_every}")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -101,40 +104,39 @@ def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainCon
 
 
 def proximity_settings(settings: dict) -> tuple[int, float]:
-    """The answer-set cutoff M (> 2) and the edge threshold I (>= 0) of a run."""
+    """The answer-set cutoff M (> 2) and the finite edge threshold I (>= 0) of a run."""
     M, I = int(settings.get("M", 50)), float(settings.get("I", 1.0))
     if M <= 2:
         raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
-    if I < 0:
-        raise ContractError(f"threshold I must be non-negative, got {I}")
+    if not (np.isfinite(I) and I >= 0):
+        raise ContractError(f"threshold I must be finite and non-negative, got {I}")
     return M, I
 
 
 @dataclass
 class QueryBatch:
-    queries: np.ndarray   # [B, 2] (anchor, relation)
-    targets: np.ndarray   # [B, n_e] smoothed multi-hot
+    queries: np.ndarray        # [B, 2] (anchor, relation)
+    targets: sparse.csr_array  # [B, n_e] smoothed answer mass, added to the floor
+    floor: float               # the target of every cell that is not an answer
 
 
-def train_query_table(kg: KnowledgeGraph) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unique (anchor, relation) queries of the augmented train split with their answers."""
+def train_query_table(kg: KnowledgeGraph) -> tuple[np.ndarray, sparse.csr_array]:
+    """Unique (anchor, relation) augmented train queries, and a [Q, n_e] CSR table of their answers."""
     if not kg.augmented:
         raise ContractError("training requires an augmented knowledge graph")
     queries, offsets, answers = query_answers(kg.train, kg.n_relations, kg.n_entities)
-    return queries, np.split(answers, offsets[:-1])[1:]
+    return queries, sparse.csr_array((np.ones(len(answers)), answers, offsets),
+                                     shape=(len(queries), kg.n_entities))
 
 
-def build_batches(queries: np.ndarray, answer_lists: list[np.ndarray], n_entities: int,
+def build_batches(queries: np.ndarray, answers: sparse.csr_array, n_entities: int,
                   batch_size: int, label_smoothing: float, rng: np.random.Generator):
-    """Shuffled stream of query batches with smoothed multi-hot targets."""
+    """Shuffled query batches; each target is eps / n_entities plus 1 - eps at the answers."""
     order = rng.permutation(len(queries))
     eps = label_smoothing
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        targets = np.full((len(idx), n_entities), eps / n_entities)
-        for row, qi in enumerate(idx):
-            targets[row, answer_lists[qi]] += 1.0 - eps
-        yield QueryBatch(queries[idx], targets)
+        yield QueryBatch(queries[idx], answers[idx] * (1.0 - eps), eps / n_entities)
 
 
 class SGD:
@@ -198,11 +200,7 @@ class Adam:
             p.data -= update
 
     def state_blobs(self):
-        out = {}
-        for name in self.params:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
-        return out
+        return {f"opt.{k}.{name}": getattr(self, k)[name] for name in self.params for k in "mv"}
 
     def load_state(self, meta, blobs):
         self.t = meta["t"]
@@ -297,8 +295,7 @@ class Trainer:
                  train_config: TrainConfig):
         if encoder_config.dim != decoder_config.dim:
             raise ContractError("encoder and decoder dims differ")
-        if not kg.augmented:
-            raise ContractError("training requires an augmented knowledge graph")
+        self.queries, self.answer_lists = train_query_table(kg)    # checks kg is augmented
         self.kg = kg
         self.encoder_config = encoder_config
         self.decoder_config = decoder_config
@@ -308,7 +305,6 @@ class Trainer:
         self.params = init_encoder_params(encoder_config, kg.n_entities, kg.n_relations, self.rng)
         self.params.update(init_decoder_params(decoder_config, kg.n_entities, self.rng))
         self.optimizer = _make_optimizer(train_config.optimizer, self.params, train_config.learning_rate)
-        self.queries, self.answer_lists = train_query_table(kg)
         self.epoch = 0
         self.global_step = 0
         self.best_valid_mrr = None
@@ -327,7 +323,7 @@ class Trainer:
         r = ad.gather_rows(R_enc, batch.queries[:, 1])
         output = conve_score(h, r, E_enc, self.params, self.decoder_config,
                              training=True, seed=cfg.seed, step=self.global_step)
-        loss = bce_loss(output, Tensor(batch.targets))
+        loss = bce_loss(output, batch.targets, batch.floor)
         value = float(loss.data)
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at step {self.global_step}")
@@ -426,9 +422,10 @@ def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,
         raise ContractError(f"grid search does not vary {', '.join(unknown)}")
     keys = sorted(grid)
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    if budget is not None and budget < 1:
+        raise ContractError(f"grid budget must be at least 1 trial, got {budget}")
     complete = budget is None or budget >= len(cells)
-    if budget is not None:
-        cells = cells[:budget]
+    cells = cells[:budget]
     runs = [{**settings, **cell} for cell in cells]
     checked = [(make_configs(run), proximity_settings(run)) for run in runs]
 

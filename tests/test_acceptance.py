@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import proxkg.autodiff as ad
 from proxkg import training
@@ -143,8 +144,11 @@ def test_criterion_4_gradient_suite():
                                rng.uniform(-1, 1, (2, 2, 2, 2))])
     bce_rng = np.random.default_rng(33)            # leaves rng's draws below as they were
     logits = np.append(bce_rng.uniform(-3, 3, 6), [30.0, -30.0]).reshape(2, 4)
-    bce_targets = Tensor(bce_rng.uniform(0, 1, (2, 4)))
+    bce_targets = sparse.csr_array(bce_rng.uniform(0, 1, (2, 4)))
     check_gradient(lambda x: ad.bce_with_logits(x, bce_targets), [logits])
+    eps = 0.1                                      # label-smoothed: floor plus scaled answers
+    answers = sparse.csr_array((bce_rng.uniform(0, 1, (2, 4)) > 0.5) * (1 - eps))
+    check_gradient(lambda x: ad.bce_with_logits(x, answers, eps / 4), [logits])
 
     # full encoder + decoder loss on a toy instance (n_e = 6, d = 4)
     kg = augment_inverse(toy_kg(rng, n_entities=6, n_relations=2, n_train=12))
@@ -166,7 +170,7 @@ def test_criterion_4_gradient_suite():
         h = ad.gather_rows(E_enc, queries[:, 0])
         r = ad.gather_rows(R_enc, queries[:, 1])
         out = conve_score(h, r, E_enc, tensors, dec_cfg, training=False)
-        return bce_loss(out, Tensor(targets))
+        return bce_loss(out, sparse.csr_array(targets))
 
     live = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
     loss_of(live).backward()

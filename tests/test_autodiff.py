@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import proxkg.autodiff as ad
 from proxkg.autodiff import Tensor
@@ -366,13 +367,32 @@ def test_bce_with_logits_extreme_logits(rng):
     t = rng.uniform(0.0, 1.0, x.shape)
     logits = Tensor(x, requires_grad=True)
     with np.errstate(over="raise"):
-        loss = ad.bce_with_logits(logits, Tensor(t))
+        loss = ad.bce_with_logits(logits, sparse.csr_array(t))
         loss.backward()
     direct = np.mean(np.maximum(x, 0.0) - t * x + np.log1p(np.exp(-np.abs(x))))
     assert float(loss.data) == pytest.approx(direct, rel=1e-14)
     assert np.allclose(logits.grad, (_two_branch_sigmoid(x) - t) / x.size, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
-        ad.bce_with_logits(logits, Tensor(t[:, :-1]))
+        ad.bce_with_logits(logits, sparse.csr_array(t[:, :-1]))
+
+
+def test_bce_with_logits_smoothed_sparse_matches_dense(rng):
+    eps, n = 0.1, 9
+    x = rng.normal(0.0, 3.0, (4, n))
+    hot = (rng.uniform(0, 1, x.shape) > 0.6).astype(float)
+    hot[2, 3] = 1.0
+    rows, cols = np.nonzero(hot)
+    data = np.where((rows == 2) & (cols == 3), 0.25, 1.0)
+    # cell (2, 3) is stored twice, holding 1/4 and 3/4 of its mass
+    rows, cols, data = np.append(rows, 2), np.append(cols, 3), np.append(data, 0.75)
+    answers = sparse.coo_array((data * (1 - eps), (rows, cols)), shape=x.shape)
+    logits = Tensor(x, requires_grad=True)
+    loss = ad.bce_with_logits(logits, answers, eps / n)
+    loss.backward()
+    t = eps / n + (1 - eps) * hot
+    dense = np.mean(np.maximum(x, 0.0) - t * x + np.log1p(np.exp(-np.abs(x))))
+    assert float(loss.data) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert np.allclose(logits.grad, (_two_branch_sigmoid(x) - t) / x.size, rtol=1e-12, atol=0.0)
 
 
 def test_activation_gradients(rng):

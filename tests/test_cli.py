@@ -197,6 +197,24 @@ def test_cli_grid_budget_limits_trials(built_dir, capsys):
     assert summary == {"n_trials": 1, "complete": False}
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_cli_grid_budget_below_one_is_config_error(built_dir, budget):
+    args = ["grid", "--set", f"out_dir={built_dir}", "--set", "grid.seed=1,2",
+            "--set", f"budget={budget}"] + TINY_TRAIN
+    assert run(args) == EXIT_CONFIG
+    assert not (built_dir / "trials.tsv").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_cli_non_finite_threshold_is_config_error(built_dir, threshold):
+    stats = (built_dir / "proximity_stats.json").read_text()
+    assert run(["build-proximity", "--set", f"out_dir={built_dir}", "--set", "M=4",
+                "--set", f"I={threshold}"]) == EXIT_CONFIG
+    assert (built_dir / "proximity_stats.json").read_text() == stats
+    assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN
+               + ["--set", f"I={threshold}"]) == EXIT_CONFIG
+
+
 def test_cli_train_writes_configured_checkpoint_path(tmp_path, built_dir):
     ckpt = tmp_path / "elsewhere.bin"
     args = ["--set", f"out_dir={built_dir}", "--set", f"checkpoint_path={ckpt}"] + TINY_TRAIN
@@ -263,7 +281,7 @@ def test_cli_unknown_split_is_config_error(built_dir):
 
 @pytest.mark.parametrize("setting", ["dropout_input=1.0", "dropout_hidden=-0.1", "kernel=0",
                                      "n_filters=0", "eval_every=-1", "learning_rate=nan",
-                                     "kg_layers=-1"])
+                                     "kg_layers=-1", "seed=-1"])
 def test_cli_out_of_range_model_setting_is_config_error(built_dir, setting):
     args = ["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN + ["--set", setting]
     assert run(args) == EXIT_CONFIG

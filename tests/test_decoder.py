@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import proxkg.autodiff as ad
 from proxkg.autodiff import Tensor
@@ -111,20 +112,20 @@ def test_conve_training_dropout_deterministic(rng):
 
 def test_bce_perfect_prediction():
     t = np.array([[1.0, 0.0, 0.0, 1.0]])
-    loss = bce_loss(Tensor(np.where(t == 1.0, 40.0, -40.0)), Tensor(t))
+    loss = bce_loss(Tensor(np.where(t == 1.0, 40.0, -40.0)), sparse.csr_array(t))
     assert float(loss.data) <= 1e-6
 
 
 def test_bce_uniform_half_is_ln2(rng):
     t = (rng.uniform(0, 1, (3, 7)) > 0.5).astype(float)
-    loss = bce_loss(Tensor(np.zeros((3, 7))), Tensor(t))
+    loss = bce_loss(Tensor(np.zeros((3, 7))), sparse.csr_array(t))
     assert float(loss.data) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_bce_matches_naive_sum(rng):
     o = rng.uniform(0.05, 0.95, (4, 9))
     t = rng.uniform(0.0, 1.0, (4, 9))
-    loss = bce_loss(Tensor(np.log(o / (1 - o))), Tensor(t))
+    loss = bce_loss(Tensor(np.log(o / (1 - o))), sparse.csr_array(t))
     expected = -(t * np.log(o) + (1 - t) * np.log(1 - o)).mean()
     assert float(loss.data) == pytest.approx(expected, abs=1e-10)
 
@@ -135,13 +136,14 @@ def test_bce_confidently_wrong_keeps_gradient(rng):
     params = zero_weight_params(cfg, np.full(n_e, -40.0))
     out = conve_score(Tensor(rng.uniform(-1, 1, (1, 8))), Tensor(rng.uniform(-1, 1, (1, 8))),
                       Tensor(rng.uniform(-1, 1, (n_e, 8))), params, cfg)
-    bce_loss(out, Tensor(np.full((1, n_e), 0.9))).backward()
+    bce_loss(out, sparse.csr_array(np.full((1, n_e), 0.9))).backward()
     # (sigmoid(-40) - 0.9) / N per cell, sigmoid(-40) being 4e-18
     assert np.allclose(params["entity_bias"].grad, -0.9 / n_e, rtol=1e-12, atol=0.0)
 
 
 def test_bce_confidently_wrong_loss_is_unbounded():
-    loss = bce_loss(Tensor(np.array([[-800.0, 800.0]])), Tensor(np.array([[1.0, 0.0]])))
+    loss = bce_loss(Tensor(np.array([[-800.0, 800.0]])),
+                    sparse.csr_array(np.array([[1.0, 0.0]])))
     assert float(loss.data) == pytest.approx(800.0, abs=1e-9)
 
 
@@ -165,7 +167,7 @@ def test_decoder_gradient_finite_differences(rng):
 
     def loss_value():
         out = conve_score(Tensor(h0), Tensor(r0), Tensor(E0), params, cfg)
-        return bce_loss(out, Tensor(t))
+        return bce_loss(out, sparse.csr_array(t))
 
     loss = loss_value()
     loss.backward()

@@ -61,7 +61,8 @@ def test_make_configs_validates_each_config(bad):
 
 @pytest.mark.parametrize("cls, bad", [(EncoderConfig, {"dim": 0}), (DecoderConfig, {"dim": -4}),
                                       (DecoderConfig, {"kernel": 0}),
-                                      (TrainConfig, {"eval_every": -1})])
+                                      (TrainConfig, {"eval_every": -1}),
+                                      (TrainConfig, {"seed": -1})])
 def test_configs_are_checked_when_built_and_frozen(cls, bad):
     with pytest.raises(ContractError):
         cls(**bad)
@@ -111,10 +112,12 @@ def test_query_table_and_multihot_targets(rng):
                                  np.random.default_rng(0)))
     assert len(batches) == 1
     batch = batches[0]
+    targets = batch.targets.toarray() + batch.floor
     for row, (anchor, rel) in enumerate(batch.queries):
         expected = {int(t) for h, r, t in kg.train if (h, r) == (anchor, rel)}
-        assert set(np.flatnonzero(batch.targets[row])) == expected
-        assert np.all(np.isin(batch.targets[row], [0.0, 1.0]))
+        assert set(batch.targets[[row]].indices) == expected
+        assert set(np.flatnonzero(targets[row])) == expected
+        assert np.all(np.isin(targets[row], [0.0, 1.0]))
 
 
 def test_query_table_matches_dict_reference(rng):
@@ -123,8 +126,10 @@ def test_query_table_matches_dict_reference(rng):
     for h, r, t in kg.train.tolist():
         answers.setdefault((h, r), set()).add(t)
     keys = sorted(answers)
-    queries, answer_lists = train_query_table(kg)
+    queries, table = train_query_table(kg)
     assert queries.dtype == np.int64 and queries.tolist() == [list(k) for k in keys]
+    assert table.shape == (len(keys), kg.n_entities) and np.all(table.data == 1.0)
+    answer_lists = np.split(table.indices, table.indptr[1:-1])
     assert [a.tolist() for a in answer_lists] == [sorted(answers[k]) for k in keys]
 
 
@@ -135,9 +140,10 @@ def test_target_smoothing_row_sum(rng):
     eps = 0.1
     for batch in build_batches(queries, answers, kg.n_entities, 100, eps,
                                np.random.default_rng(0)):
+        targets = batch.targets.toarray() + batch.floor
         for row, (anchor, rel) in enumerate(batch.queries):
             n_ans = len({int(t) for h, r, t in kg.train if (h, r) == (anchor, rel)})
-            assert batch.targets[row].sum() == pytest.approx(n_ans * (1 - eps) + eps)
+            assert targets[row].sum() == pytest.approx(n_ans * (1 - eps) + eps)
 
 
 def test_sgd_exact_update():
@@ -453,6 +459,19 @@ def test_grid_search_budget_flag(rng):
     result = grid_search(kg, {"seed": [1, 2, 3]}, GRID_SETTINGS, budget=2)
     assert len(result["trials"]) == 2
     assert not result["complete"]
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_grid_search_rejects_budget_below_one(rng, budget):
+    kg = toy_pipeline(rng)[0]
+    with pytest.raises(ContractError, match="budget"):
+        grid_search(kg, {"seed": [1, 2, 3]}, GRID_SETTINGS, budget=budget)
+
+
+@pytest.mark.parametrize("I", [float("nan"), float("inf"), -1.0])
+def test_proximity_settings_rejects_threshold_outside_finite_range(I):
+    with pytest.raises(ContractError, match="threshold I"):
+        training.proximity_settings({"M": 4, "I": I})
 
 
 def test_grid_search_rejects_key_it_does_not_vary(rng):
