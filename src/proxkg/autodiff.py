@@ -25,7 +25,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=DEFAULT_DTYPE, order="C")
+        self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents

@@ -267,7 +267,8 @@ def load_kg(path) -> KnowledgeGraph:
     DataError.
     """
     try:
-        with np.load(path, allow_pickle=False) as z:
+        # np.load leaves a file it opened itself open when the zip is damaged
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             num_raw = int(z["num_raw_relations"][0])
             return KnowledgeGraph(
                 Vocabulary(z["entities"].tolist()),

@@ -39,9 +39,6 @@ class QAPairIndex:
     offsets: np.ndarray
     answers: np.ndarray   # ascending within each pair
 
-    def total_answers(self) -> int:
-        return len(self.answers)
-
     @property
     def pairs(self) -> tuple[QAPair, ...]:
         """Read-only QAPair view of the arrays, built on each access."""
@@ -56,13 +53,6 @@ class SPMMatrix:
 
     records: np.ndarray
     M: int
-
-    def get(self, i: int, j: int) -> float:
-        i, j = min(i, j), max(i, j)
-        r = self.records
-        lo, hi = np.searchsorted(r["i"], i, "left"), np.searchsorted(r["i"], i, "right")
-        k = lo + np.searchsorted(r["j"][lo:hi], j)
-        return float(r["w"][k]) if k < hi and r["j"][k] == j else 0.0
 
     @property
     def entries(self) -> MappingProxyType:
@@ -97,23 +87,25 @@ def extract_qa_pairs(kg: KnowledgeGraph) -> QAPairIndex:
     """One QA pair per distinct (direction, anchor, relation) over raw train triples.
 
     These are the augmented split's train queries, relation r + n_raw being
-    the head query (?, r, t), in the order they first appear there. Each
-    train triple lands in two pairs, so the answers total 2x the train count.
+    the head query (?, r, t), in ``kgdata.query_answers`` order: sorted by
+    (anchor, augmented relation), whatever the order of the train triples.
+    Each train triple lands in two pairs, so the answers total 2x the train
+    count.
     """
     if len(kg.raw_train()) == 0:
         raise ContractError("QA-pair extraction requires a non-empty train split")
     if not kg.augmented:
         kg = augment_inverse(kg)
-    n_rel, n_raw = kg.n_relations, kg.num_raw_relations
-    queries, offsets, answers = query_answers(kg.train, n_rel, kg.n_entities)
-    _, first_row = np.unique(kg.train[:, 0] * n_rel + kg.train[:, 1], return_index=True)
-    order = np.argsort(first_row)
-    sizes = np.diff(offsets)[order]
-    new_offsets = np.append(0, np.cumsum(sizes))
-    answers = answers[np.repeat(offsets[order] - new_offsets[:-1], sizes) + np.arange(len(answers))]
-    anchor, rel = queries[order].T
+    n_raw = kg.num_raw_relations
+    queries, offsets, answers = query_answers(kg.train, kg.n_relations, kg.n_entities)
+    anchor, rel = queries.T
     direction = np.where(rel >= n_raw, HEAD_QUERY, TAIL_QUERY)
-    return QAPairIndex(np.stack([direction, anchor, rel % n_raw], axis=1), new_offsets, answers)
+    return QAPairIndex(np.stack([direction, anchor, rel % n_raw], axis=1), offsets, answers)
+
+
+def _check_cutoff(M: int) -> None:
+    if M <= 2:
+        raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
 
 
 def pm(M: int, answer_set_size):
@@ -122,8 +114,7 @@ def pm(M: int, answer_set_size):
     Equals 1 for two answers, decays linearly, and is 0 once the set
     reaches the cutoff size M.
     """
-    if M <= 2:
-        raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
+    _check_cutoff(M)
     size = np.asarray(answer_set_size)
     if np.any(size < 2):
         raise ContractError("pairwise proximity needs at least two answers")
@@ -134,34 +125,33 @@ def accumulate_spm(index: QAPairIndex, M: int) -> SPMMatrix:
     """Sum per-query proximity over all QA pairs into sorted (i, j, w) records.
 
     Queries with answer sets of size >= M contribute exactly zero and are
-    skipped before enumerating their quadratic pair set. Each pair's weight
-    is summed from 0.0 in index order, one query at a time.
+    skipped before enumerating their quadratic pair set. Each pair sums the
+    integer numerators M - |A| of pm over its shared queries and divides
+    once by M - 2, so its weight is one correctly rounded quotient, the same
+    whatever the order of the queries or of the train triples.
     """
+    _check_cutoff(M)
     sizes = np.diff(index.offsets)
-    n_q = len(sizes)
     loaded = (sizes >= 2) & (sizes < M)
-    value = np.zeros(n_q)
-    value[loaded] = pm(M, sizes[loaded])     # also rejects M <= 2
     n = int(index.answers.max()) + 1 if len(index.answers) else 1
-    if n * n * n_q >= 2 ** 63:
-        raise ContractError(f"{n} entities and {n_q} queries overflow int64 pair keys")
-    # one key (i * n + j) * n_q + q per pair increment sorts by pair, then by query
+    if n * n * M >= 2 ** 63:
+        raise ContractError(f"{n} entities at cutoff M={M} overflow int64 pair keys")
+    # one key (i * n + j) * M + (M - |A|) per pair increment: the pair and pm's numerator
     keys = [np.empty(0, np.int64)]
     for size in np.unique(sizes[loaded]).tolist():
         q = np.flatnonzero(sizes == size)
         block = index.answers[index.offsets[q, None] + np.arange(size)]
         a, b = np.triu_indices(size, 1)
-        keys.append(((block[:, a] * n + block[:, b]) * n_q + q[:, None]).ravel())
+        keys.append(((block[:, a] * n + block[:, b]) * M + (M - size)).ravel())
     keys = np.concatenate(keys)
     keys.sort()
-    weights = value[keys % n_q]
-    keys //= n_q
+    keys, numerators = np.divmod(keys, M)
     first = np.ones(len(keys), bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     records = np.empty(int(first.sum()), EDGE_DTYPE)
     records["i"], records["j"] = np.divmod(keys[first], n)
-    # bincount adds in input order, so each pair sums its queries in index order
-    records["w"] = np.bincount(np.cumsum(first) - 1, weights=weights)
+    # integer sums below 2**53 are exact in float64, so one division rounds each weight
+    records["w"] = np.bincount(np.cumsum(first) - 1, weights=numerators) / (M - 2)
     return SPMMatrix(records, M)
 
 

@@ -63,6 +63,14 @@ def test_matmul_gradient(rng):
     check_gradient(lambda a, b: ad.matmul(a, b), [A, B])
 
 
+def test_transpose_is_a_view(rng):
+    t = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    out = ad.transpose(t)
+    assert np.shares_memory(out.data, t.data)
+    assert np.array_equal(out.data, t.data.T)
+    check_gradient(lambda a: ad.transpose(a), [t.data])
+
+
 def test_elementwise_identities(rng):
     e = rng.uniform(-1, 1, (4, 3))
     assert np.allclose(ad.add(Tensor(e), Tensor(np.zeros_like(e))).data, e)

@@ -1,4 +1,6 @@
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -192,3 +194,15 @@ def test_load_kg_never_unpickles(tmp_path):
     with pytest.raises(DataError):
         load_kg(evil)
     assert not marker.exists()
+
+
+def test_load_damaged_kg_closes_its_file(tmp_path):
+    path = tmp_path / "kg.npz"
+    save_kg(kg_from_triples([("a", "r0", "b")]), path)
+    path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(DataError):
+            load_kg(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

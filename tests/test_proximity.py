@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from itertools import combinations
 
@@ -32,20 +33,19 @@ def brute_force_spm(index, M):
 def dict_spm(kg, M):
     """Reference: the dict-of-sets extraction and dict accumulation, as sorted records.
 
-    Each pair sums its queries in dict insertion order: tail queries, then
-    head queries, each in order of first appearance in the raw train split.
+    Each pair sums the integer numerators M - |A| of its shared queries and
+    divides once by M - 2.
     """
     tail_answers, head_answers = {}, {}
     for h, r, t in kg.raw_train().tolist():
         tail_answers.setdefault((h, r), set()).add(t)
         head_answers.setdefault((t, r), set()).add(h)
-    entries = {}
+    numerators = {}
     for answers in [*tail_answers.values(), *head_answers.values()]:
         if 2 <= len(answers) < M:
-            value = pm(M, len(answers))
             for key in combinations(sorted(answers), 2):
-                entries[key] = entries.get(key, 0.0) + value
-    return spm_records(entries)
+                numerators[key] = numerators.get(key, 0) + M - len(answers)
+    return spm_records({key: total / (M - 2) for key, total in numerators.items()})
 
 
 def test_extract_qa_pairs_toy():
@@ -70,7 +70,7 @@ def test_extract_single_triple_two_singletons():
 def test_total_answers_is_twice_train(rng):
     kg = random_kg(rng, 30, 4, 200)
     index = extract_qa_pairs(kg)
-    assert index.total_answers() == 2 * len(kg.train)
+    assert len(index.answers) == 2 * len(kg.train)
 
 
 def test_pm_values():
@@ -89,6 +89,13 @@ def test_pm_rejects_bad_cutoff():
                                    np.empty(0, np.int64)), 2)
 
 
+def test_accumulate_spm_rejects_key_overflow():
+    # (i * n + j) * M + (M - |A|) needs n * n * M < 2**63
+    index = QAPairIndex(np.array([[TAIL_QUERY, 0, 0]]), np.array([0, 2]), np.array([0, 2 ** 31]))
+    with pytest.raises(ContractError):
+        accumulate_spm(index, 3)
+
+
 @given(M=st.integers(3, 1000), size=st.integers(2, 2000))
 def test_pm_bounds_property(M, size):
     value = pm(M, size)
@@ -101,11 +108,7 @@ def test_accumulate_spm_worked_example():
     # q1 -> {a, b}, q2 -> {a, b, c}, M=4: ab = 1 + 0.5, ac = bc = 0.5
     index = QAPairIndex(np.array([[TAIL_QUERY, 10, 0], [TAIL_QUERY, 11, 0]]),
                         np.array([0, 2, 5]), np.array([0, 1, 0, 1, 2]))
-    spm = accumulate_spm(index, 4)
-    assert spm.get(0, 1) == pytest.approx(1.5)
-    assert spm.get(0, 2) == pytest.approx(0.5)
-    assert spm.get(1, 2) == pytest.approx(0.5)
-    assert spm.get(1, 0) == spm.get(0, 1)
+    assert accumulate_spm(index, 4).entries == {(0, 1): 1.5, (0, 2): 0.5, (1, 2): 0.5}
 
 
 def test_accumulate_spm_singleton_empty():
@@ -140,7 +143,8 @@ def test_spm_records_equal_dict_pipeline(M):
     kgs = [random_kg(rng, int(rng.integers(20, 60)), int(rng.integers(1, 5)), 150)
            for _ in range(10)]
     # a dense graph, its train triples fed in shuffled order: many queries of
-    # mixed sizes share each pair, so the summation order shows in the last bits
+    # mixed sizes share each pair, so a float sum of pm values in any query
+    # order would differ from the exact quotient in the last bits
     dense = random_kg(rng, 14, 6, 500)
     dense.train = dense.train[rng.permutation(len(dense.train))]
     for kg in kgs + [dense]:
@@ -148,6 +152,33 @@ def test_spm_records_equal_dict_pipeline(M):
         assert accumulate_spm(extract_qa_pairs(kg), M).records.tobytes() == want.tobytes()
         augmented = extract_qa_pairs(augment_inverse(kg))
         assert accumulate_spm(augmented, M).records.tobytes() == want.tobytes()
+
+
+def test_train_triple_order_changes_nothing(tmp_path):
+    rng = np.random.default_rng(7)
+    kg = random_kg(rng, 14, 6, 500)
+    shuffled = dataclasses.replace(kg, train=kg.train[rng.permutation(len(kg.train))])
+    outputs = []
+    for name, graph_kg in (("kg", kg), ("shuffled", shuffled)):
+        spm = accumulate_spm(extract_qa_pairs(graph_kg), 50)
+        graph = build_proximity_graph(spm, 0.0, graph_kg.n_entities)
+        path = tmp_path / f"{name}.bin"
+        save_proximity_graph(graph, path)
+        outputs.append((spm.records.tobytes(), graph.edges.tobytes(), path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_exact_weight_at_threshold_makes_no_edge():
+    # entities 0 and 1 share four queries of sizes 8, 10, 9, 11 at M=12: the
+    # numerators 4 + 2 + 3 + 1 over 10 are exactly 1.0, while the float sum
+    # 0.4 + 0.2 + 0.3 + 0.1 in that order is 1.0000000000000002
+    sets = [[0, 1, *range(2, 8)], [0, 1, *range(8, 16)],
+            [0, 1, *range(16, 23)], [0, 1, *range(23, 32)]]
+    index = QAPairIndex(np.array([[TAIL_QUERY, 100 + q, 0] for q in range(4)]),
+                        np.cumsum([0] + [len(s) for s in sets]), np.concatenate(sets))
+    spm = accumulate_spm(index, 12)
+    assert spm.entries[(0, 1)] == 1.0
+    assert build_proximity_graph(spm, 1.0, 32).n_edges == 0
 
 
 def test_build_graph_threshold_strict():
