@@ -186,10 +186,7 @@ def concat(tensors, axis=0) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def bw(g):
-        return [
-            (t, np.take(g, range(offsets[i], offsets[i + 1]), axis=axis))
-            for i, t in enumerate(tensors)
-        ]
+        return list(zip(tensors, np.split(g, offsets[1:-1], axis=axis)))
 
     return _make(out, tuple(tensors), bw)
 
@@ -442,6 +439,8 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     """Valid 2-d cross-correlation, stride 1, no padding.
 
     inp: [B, C_in, H, W], filters: [C_out, C_in, k, k] -> [B, C_out, H-k+1, W-k+1].
+    The backward is the adjoint of the window map: each window's gradient, g
+    contracted with the filters, is added back onto the k x k input cells it covers.
     """
     if inp.data.ndim != 4 or filters.data.ndim != 4:
         raise ValueError("conv2d expects 4-d input and filters")
@@ -456,10 +455,11 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
 
     def bw(g):
         g_filters = np.einsum("bchwij,bohw->ocij", windows, g, optimize=True)
-        g_pad = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        g_windows = np.lib.stride_tricks.sliding_window_view(g_pad, (kh, kw), axis=(2, 3))
-        flipped = filters.data[:, :, ::-1, ::-1]
-        g_inp = np.einsum("bohwij,ocij->bchw", g_windows, flipped, optimize=True)
+        g_windows = np.einsum("bohw,ocij->bchwij", g, filters.data, optimize=True)
+        g_inp = np.zeros_like(inp.data)
+        oh, ow = g.shape[2:]
+        for i, j in np.ndindex(kh, kw):
+            g_inp[:, :, i:i + oh, j:j + ow] += g_windows[..., i, j]
         return [(inp, g_inp), (filters, g_filters)]
 
     return _make(out, (inp, filters), bw)

@@ -193,6 +193,10 @@ def _checkpoint_setup(cfg, kg):
         raise DataError(f"checkpoint not found: {path}")
     header, blobs = load_checkpoint(path)
     params, enc, dec = checkpoint_model(header, blobs)
+    for name, n in (("entity_embed", kg.n_entities), ("relation_embed", kg.n_relations)):
+        if params[name].shape[0] != n:
+            raise ContractError(f"checkpoint {name} has {params[name].shape[0]} rows, "
+                                f"the knowledge graph {n}: it was trained on another graph")
     pgraph = _load_pgraph(cfg, kg, enc)
     prox = None if pgraph is None else ProximityAdjacency(pgraph)
     return params, enc, dec, prox, provenance(header["train_config"]["seed"],

@@ -96,9 +96,9 @@ def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: 
     B = h_embed.shape[0]
     if h_embed.shape[1] != config.dim:
         raise ContractError(f"query dim {h_embed.shape[1]} does not match decoder dim {config.dim}")
-    h_map = ad.reshape(h_embed, (B, 1, config.reshape_h, config.reshape_w))
-    r_map = ad.reshape(r_embed, (B, 1, config.reshape_h, config.reshape_w))
-    x = ad.concat([h_map, r_map], axis=2)
+    # [h | r] row-major is the anchor map stacked above the relation map
+    x = ad.reshape(ad.concat([h_embed, r_embed], axis=1),
+                   (B, 1, 2 * config.reshape_h, config.reshape_w))
     x = ad.dropout(x, config.dropout_input, seed, _DROP_INPUT, step, training)
     x = ad.relu(ad.conv2d(x, params["conv_filters"]))
     x = ad.dropout(x, config.dropout_feature, seed, _DROP_FEATURE, step, training)

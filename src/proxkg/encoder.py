@@ -50,8 +50,9 @@ class RelationalAdjacency:
     """Edge arrays (src, rel, dst) of the active message-passing graph.
 
     An edge (h, r, t) delivers the composed (h, r) message to t. Degrees
-    are taken over the active edge set and floored at 1 so weight formulas
-    never divide by zero (zero-degree nodes receive no messages anyway).
+    are counted over the active edge set; ``relational_weights`` floors them
+    at 1 so its formulas never divide by zero (zero-degree nodes receive no
+    messages anyway).
     """
 
     def __init__(self, triples: np.ndarray, keep: np.ndarray | None = None, n_entities: int = 0):

@@ -205,14 +205,8 @@ def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.n
         raise ContractError(f"drop_rate must be in [0,1], got {drop_rate}")
     if not kg.augmented:
         raise ContractError("edge dropout operates on the augmented train split")
-    n = len(kg.train)
-    if drop_rate == 0.0:
-        return np.arange(n, dtype=np.int64)
-    if drop_rate == 1.0:
-        return np.empty(0, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(seed))
-    keep = rng.random(n) >= drop_rate
-    return np.flatnonzero(keep).astype(np.int64)
+    return np.flatnonzero(rng.random(len(kg.train)) >= drop_rate)
 
 
 @contextmanager
@@ -263,14 +257,14 @@ def save_kg(kg: KnowledgeGraph, path) -> None:
 def load_kg(path) -> KnowledgeGraph:
     """Reads a ``save_kg`` file without unpickling anything.
 
-    A damaged or incomplete file, or one holding pickled object arrays, is a
-    DataError.
+    A damaged or incomplete file, one holding pickled object arrays, or one
+    whose triples name an id outside the vocabularies is a DataError.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is damaged
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             num_raw = int(z["num_raw_relations"][0])
-            return KnowledgeGraph(
+            kg = KnowledgeGraph(
                 Vocabulary(z["entities"].tolist()),
                 Vocabulary(z["relations"].tolist()),
                 z["train"].astype(np.int64).reshape(-1, 3),
@@ -283,3 +277,10 @@ def load_kg(path) -> KnowledgeGraph:
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
         raise DataError(f"damaged or pickled knowledge graph file {path} "
                         f"(re-run ingest): {exc}") from None
+    for name in ("train", "valid", "test"):
+        triples = kg.split(name)
+        if triples.size and (triples.min() < 0 or triples[:, [0, 2]].max() >= kg.n_entities
+                             or triples[:, 1].max() >= kg.n_relations):
+            raise DataError(f"{name} triples in {path} name an entity id outside "
+                            f"[0, {kg.n_entities}) or a relation id outside [0, {kg.n_relations})")
+    return kg

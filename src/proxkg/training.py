@@ -44,6 +44,9 @@ GRID_KEYS = ("batch_size", "learning_rate", "dim", "kg_layers", "prox_layers",
 _CKPT_MAGIC = b"PKCK"
 _CKPT_VERSION = 4   # 1-3 also stored two grid-permission flags, 1-2 the reshape, 1 label_smoothing
 _CKPT_HEAD = struct.Struct("<IQ")    # version, JSON header length
+# the JSON header's keys, as every version writes them
+_CKPT_KEYS = ("config_digest", "encoder_config", "decoder_config", "train_config", "optimizer",
+              "rng_state", "epoch", "global_step", "best_valid_mrr", "blobs")
 
 
 class NumericError(Exception):
@@ -266,6 +269,9 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             header = json.loads(raw.decode())
         except ValueError as exc:
             raise DataError(f"damaged checkpoint header in {path}: {exc}") from None
+        if not isinstance(header, dict) or not all(key in header for key in _CKPT_KEYS):
+            raise DataError(f"damaged checkpoint header in {path}: "
+                            f"not an object holding {', '.join(_CKPT_KEYS)}")
         header["encoder_config"].pop("allow_any_depth", None)
         header["train_config"].pop("allow_off_grid", None)
         decoder = header["decoder_config"]
@@ -386,12 +392,12 @@ class Trainer:
     def restore(cls, path, kg: KnowledgeGraph, pgraph: ProximityGraph | None) -> "Trainer":
         """Rebuild a trainer whose next step is bit-identical to the saved run's."""
         header, blobs = load_checkpoint(path)
-        encoder_config = EncoderConfig(**header["encoder_config"])
-        decoder_config = DecoderConfig(**header["decoder_config"])
-        train_config = TrainConfig(**header["train_config"])
-        trainer = cls(kg, pgraph, encoder_config, decoder_config, train_config)
+        trainer = cls(kg, pgraph, *_checkpoint_configs(header))
         for name, p in trainer.params.items():
-            p.data = blobs[name].copy()
+            if blobs[name].shape != p.data.shape:
+                raise ContractError(f"checkpoint {name} has shape {blobs[name].shape}, "
+                                    f"this knowledge graph's model {p.data.shape}")
+            p.data = blobs[name]
         trainer.optimizer.load_state(header["optimizer"], blobs)
         trainer.rng.bit_generator.state = header["rng_state"]
         trainer.epoch = header["epoch"]
@@ -400,11 +406,21 @@ class Trainer:
         return trainer
 
 
+def _checkpoint_configs(header: dict) -> tuple[EncoderConfig, DecoderConfig, TrainConfig]:
+    """The configs a loaded checkpoint header stores; a field they do not know is a DataError."""
+    try:
+        return (EncoderConfig(**header["encoder_config"]),
+                DecoderConfig(**header["decoder_config"]), TrainConfig(**header["train_config"]))
+    except TypeError as exc:
+        raise DataError(f"damaged checkpoint config: {exc}") from None
+
+
 def checkpoint_model(header: dict, blobs: dict) -> tuple[dict, EncoderConfig, DecoderConfig]:
     """Parameter tensors and model configs of a loaded checkpoint, for evaluation."""
     params = {spec["name"]: Tensor(blobs[spec["name"]])
               for spec in header["blobs"] if not spec["name"].startswith("opt.")}
-    return params, EncoderConfig(**header["encoder_config"]), DecoderConfig(**header["decoder_config"])
+    enc, dec, _ = _checkpoint_configs(header)
+    return params, enc, dec
 
 
 def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,

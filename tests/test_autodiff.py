@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -343,6 +345,51 @@ def test_conv2d_gradient(rng):
     check_gradient(ad.conv2d, [x, f])
 
 
+def conv2d_reference(x, f, g):
+    """Forward, input gradient and filter gradient of a valid cross-correlation, the input
+    gradient computed as the full convolution of the padded g with the flipped filters."""
+    kh, kw = f.shape[2:]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.einsum("bchwij,ocij->bohw", windows, f, optimize=True)
+    g_filters = np.einsum("bchwij,bohw->ocij", windows, g, optimize=True)
+    g_pad = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    g_windows = np.lib.stride_tricks.sliding_window_view(g_pad, (kh, kw), axis=(2, 3))
+    g_inp = np.einsum("bohwij,ocij->bchw", g_windows, f[:, :, ::-1, ::-1], optimize=True)
+    return out, g_inp, g_filters
+
+
+@pytest.mark.parametrize("x_shape, f_shape", [
+    ((3, 2, 6, 5), (4, 2, 3, 3)),
+    ((2, 3, 4, 7), (2, 3, 2, 2)),
+    ((2, 2, 5, 4), (3, 2, 1, 1)),
+    ((4, 1, 20, 20), (32, 1, 3, 3)),      # the decoder's stacked input at dim=200
+])
+def test_conv2d_matches_pad_and_flip_reference(rng, x_shape, f_shape):
+    x, f = rng.normal(size=x_shape), rng.normal(size=f_shape)
+    out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(f, requires_grad=True))
+    g = rng.normal(size=out.shape)
+    (_, g_inp), (_, g_filters) = out._backward(g)
+    ref_out, ref_inp, ref_filters = conv2d_reference(x, f, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(g_filters, ref_filters)
+    np.testing.assert_allclose(g_inp, ref_inp, rtol=1e-12, atol=1e-12 * np.abs(ref_inp).max())
+
+
+def test_conv2d_backward_peak_memory(rng):
+    """The input gradient needs no [B, C_out, H, W, k, k] copy of g."""
+    x = Tensor(rng.normal(size=(8, 1, 20, 20)), requires_grad=True)
+    f = Tensor(rng.normal(size=(32, 1, 3, 3)), requires_grad=True)
+    out = ad.conv2d(x, f)
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        out._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * g.nbytes
+
+
 def test_activation_values():
     assert ad.tanh(Tensor(np.zeros(3))).data.sum() == 0
     assert np.allclose(ad.sigmoid(Tensor(np.zeros(3))).data, 0.5)
@@ -475,6 +522,17 @@ def test_duplicate_use_accumulates(rng):
     x = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
     ad.tsum(ad.add(x, x)).backward()
     assert np.allclose(x.grad, 2.0)
+
+
+def test_concat_gradients_are_views_of_g(rng):
+    a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    out = ad.concat([a, b], axis=1)
+    g = rng.normal(size=out.shape)
+    (ta, ga), (tb, gb) = out._backward(g)
+    assert ta is a and tb is b
+    assert np.shares_memory(ga, g) and np.shares_memory(gb, g)
+    assert np.array_equal(ga, g[:, :2]) and np.array_equal(gb, g[:, 2:])
 
 
 def test_reshape_concat_transpose_gradients(rng):

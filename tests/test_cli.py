@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from proxkg.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, coerce, ma
                         parse_config_file)
 from proxkg.decoder import DecoderConfig
 from proxkg.encoder import EncoderConfig
-from proxkg.kgdata import ContractError
+from proxkg.kgdata import ContractError, load_kg, save_kg
 from proxkg.synth import clustered_kg, toy_kg, write_kg_files
 from proxkg.training import TrainConfig, load_checkpoint
+from conftest import write_triples
 
 
 @pytest.fixture
@@ -318,3 +320,52 @@ def test_cli_grid_starts_from_run_M_and_I(built_dir):
     header, row = (built_dir / "trials.tsv").read_text().splitlines()
     trial = dict(zip(header.split("\t"), row.split("\t")))
     assert (trial["M"], trial["I"], trial["seed"]) == ("3", "0.5", "1")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda header: {},
+    lambda header: [1, 2],
+    lambda header: {key: value for key, value in header.items() if key != "blobs"},
+    lambda header: {**header, "encoder_config": {**header["encoder_config"], "bogus": 1}},
+], ids=["empty", "list", "no_blobs", "unknown_config_field"])
+def test_cli_damaged_checkpoint_header_is_data_error(built_dir, damage):
+    args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
+    assert run(["train"] + args) == EXIT_OK
+    ckpt = built_dir / "checkpoint.bin"
+    blob = ckpt.read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    raw = json.dumps(damage(json.loads(blob[16:end]))).encode()
+    ckpt.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[end:])
+    assert run(["evaluate"] + args) == EXIT_DATA
+
+
+def test_cli_checkpoint_from_another_graph_is_config_error(tmp_path, built_dir, capsys):
+    assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_OK
+    data, other = tmp_path / "chain", tmp_path / "other"
+    data.mkdir()
+    chain = [(f"e{i}", "r", f"e{i + 1}") for i in range(12)]
+    for name, rows in (("train", chain), ("valid", chain[:1]), ("test", chain[1:2])):
+        write_triples(data / f"{name}.txt", rows)
+    assert run(["ingest", "--set", f"train_path={data}/train.txt",
+                "--set", f"valid_path={data}/valid.txt", "--set", f"test_path={data}/test.txt",
+                "--set", f"out_dir={other}"]) == EXIT_OK
+    assert run(["build-proximity", "--set", f"out_dir={other}",
+                "--set", "M=4", "--set", "I=0.0"]) == EXIT_OK
+    trained_on = load_kg(built_dir / "kg.npz").n_entities
+    capsys.readouterr()
+    args = ["evaluate", "--set", f"out_dir={other}",
+            "--set", f"checkpoint_path={built_dir / 'checkpoint.bin'}"] + TINY_TRAIN
+    assert run(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "entity_embed" in err and f"{trained_on} rows" in err and "13" in err
+
+
+@pytest.mark.parametrize("command", ["build-proximity", "train"])
+@pytest.mark.parametrize("column, value", [(0, "n_entities"), (2, -1), (1, "n_relations")],
+                         ids=["head_too_large", "tail_negative", "relation_too_large"])
+def test_cli_out_of_range_id_in_kg_is_data_error(built_dir, command, column, value):
+    path = built_dir / "kg.npz"
+    kg = load_kg(path)
+    kg.train[0, column] = getattr(kg, value) if isinstance(value, str) else value
+    save_kg(kg, path)
+    assert run([command, "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA

@@ -108,6 +108,14 @@ def test_edge_dropout_boundaries():
     assert len(sample_edge_dropout(aug, 7, 1.0)) == 0
 
 
+def test_edge_dropout_rates_zero_and_one_keep_every_edge_or_none():
+    aug = augment_inverse(kg_from_triples([("a", "r", "b"), ("b", "r", "c")]))
+    every = sample_edge_dropout(aug, 7, 0.0)
+    assert every.dtype == np.int64 and np.array_equal(every, np.arange(len(aug.train)))
+    none = sample_edge_dropout(aug, 7, 1.0)
+    assert none.dtype == np.int64 and none.shape == (0,)
+
+
 def test_edge_dropout_deterministic_subset():
     rows = [(f"e{i}", "r", f"e{i+1}") for i in range(100)]
     aug = augment_inverse(kg_from_triples(rows))

@@ -269,6 +269,19 @@ def test_checkpoint_round_trip_bitwise(tmp_path, rng):
         assert np.array_equal(p.data, restored.params[k].data), k
 
 
+def test_restore_on_another_graph_is_contract_error(tmp_path):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    path = tmp_path / "ckpt.bin"
+    Trainer(kg, pg, enc, dec, trn).save(path)
+    other = augment_inverse(random_kg(np.random.default_rng(3), 12, 3, 30))
+    other_pg = build_proximity_graph(accumulate_spm(extract_qa_pairs(other), 4), 0.0,
+                                     other.n_entities)
+    assert other.n_entities != kg.n_entities
+    with pytest.raises(ContractError, match=rf"entity_embed.*\({kg.n_entities}, 8\).*"
+                                            rf"\({other.n_entities}, 8\)"):
+        Trainer.restore(path, other, other_pg)
+
+
 def test_checkpoint_header_fields(tmp_path, rng):
     kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1)
     trainer = Trainer(kg, pg, enc, dec, trn)
