@@ -23,9 +23,9 @@ from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, aug
 from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_tsv,
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
-from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, checkpoint_model,
-                       config_digest, grid_search, load_checkpoint, make_configs,
-                       proximity_settings, write_trial_table)
+from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, check_checkpoint,
+                       checkpoint_model, config_digest, grid_search, load_checkpoint,
+                       make_configs, proximity_settings, write_trial_table)
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
@@ -192,11 +192,8 @@ def _checkpoint_setup(cfg, kg):
     if not os.path.exists(path):
         raise DataError(f"checkpoint not found: {path}")
     header, blobs = load_checkpoint(path)
+    check_checkpoint(header, blobs, kg)
     params, enc, dec = checkpoint_model(header, blobs)
-    for name, n in (("entity_embed", kg.n_entities), ("relation_embed", kg.n_relations)):
-        if params[name].shape[0] != n:
-            raise ContractError(f"checkpoint {name} has {params[name].shape[0]} rows, "
-                                f"the knowledge graph {n}: it was trained on another graph")
     pgraph = _load_pgraph(cfg, kg, enc)
     prox = None if pgraph is None else ProximityAdjacency(pgraph)
     return params, enc, dec, prox, provenance(header["train_config"]["seed"],

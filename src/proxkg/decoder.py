@@ -75,18 +75,19 @@ class DecoderConfig:
         return self.n_filters * oh * ow
 
 
+def decoder_param_shapes(config: DecoderConfig, n_entities: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every decoder parameter, in initialisation order."""
+    return {"conv_filters": (config.n_filters, 1, config.kernel, config.kernel),
+            "fc_W": (config.flat_dim, config.dim), "fc_b": (config.dim,),
+            "entity_bias": (n_entities,)}
+
+
 def init_decoder_params(config: DecoderConfig, n_entities: int, rng: np.random.Generator) -> dict:
+    """Uniform init in [-1/sqrt(d), 1/sqrt(d)], but a zero entity bias."""
     bound = 1.0 / np.sqrt(config.dim)
-
-    def u(*shape):
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    return {
-        "conv_filters": u(config.n_filters, 1, config.kernel, config.kernel),
-        "fc_W": u(config.flat_dim, config.dim),
-        "fc_b": u(config.dim),
-        "entity_bias": Tensor(np.zeros(n_entities), requires_grad=True),
-    }
+    return {name: Tensor(np.zeros(shape) if name == "entity_bias"
+                         else rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            for name, shape in decoder_param_shapes(config, n_entities).items()}
 
 
 def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: dict,

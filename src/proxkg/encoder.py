@@ -182,28 +182,22 @@ def encode(params: dict, adj: RelationalAdjacency, prox: ProximityAdjacency | No
     return E, relation_mlp(R, params)
 
 
+def encoder_param_shapes(config: EncoderConfig, n_entities: int,
+                         n_relations: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every encoder parameter, in initialisation order."""
+    d = config.dim
+    shapes = {"entity_embed": (n_entities, d), "relation_embed": (n_relations, d),
+              "rel_mlp_W1": (d, d), "rel_mlp_b1": (d,), "rel_mlp_W2": (d, d), "rel_mlp_b2": (d,)}
+    shapes.update({f"kg_W{l}": (d, d) for l in range(config.kg_layers)})
+    shapes.update({f"prox_W{l}": (d, d) for l in range(config.prox_layers)})
+    if config.composition == "mlp":
+        shapes.update(comp_W=(2 * d, d), comp_b=(d,))
+    return shapes
+
+
 def init_encoder_params(config: EncoderConfig, n_entities: int, n_relations: int,
                         rng: np.random.Generator) -> dict:
     """Uniform init in [-1/sqrt(d), 1/sqrt(d)] for all embeddings and transforms."""
-    d = config.dim
-    bound = 1.0 / np.sqrt(d)
-
-    def u(*shape):
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    params = {
-        "entity_embed": u(n_entities, d),
-        "relation_embed": u(n_relations, d),
-        "rel_mlp_W1": u(d, d),
-        "rel_mlp_b1": u(d),
-        "rel_mlp_W2": u(d, d),
-        "rel_mlp_b2": u(d),
-    }
-    for l in range(config.kg_layers):
-        params[f"kg_W{l}"] = u(d, d)
-    for l in range(config.prox_layers):
-        params[f"prox_W{l}"] = u(d, d)
-    if config.composition == "mlp":
-        params["comp_W"] = u(2 * d, d)
-        params["comp_b"] = u(d)
-    return params
+    bound = 1.0 / np.sqrt(config.dim)
+    return {name: Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            for name, shape in encoder_param_shapes(config, n_entities, n_relations).items()}

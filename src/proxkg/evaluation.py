@@ -7,49 +7,40 @@ train/valid/test are masked out before ranking. Scores are the decoder's
 logits, which do not saturate, and equal scores are resolved by averaging
 the optimistic and pessimistic rank.
 
-Known answers are one sorted int64 array of ``kgdata.answer_keys``; cases
-are scored and ranked one ``batch_size`` block at a time, so no score
-matrix over the whole split is ever held.
+Known answers are one ``kgdata.query_answers`` CSR table, the form training
+reads its targets from; ``kgdata.answer_rows`` takes each block's filter rows
+from it. Cases are scored and ranked one ``batch_size`` block at a time, so
+no score matrix or filter over the whole split is ever held.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .autodiff import Tensor
 from .decoder import DecoderConfig, conve_score
 from .encoder import EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode
-from .kgdata import ContractError, KnowledgeGraph, answer_keys
+from .kgdata import ContractError, KnowledgeGraph, answer_rows, query_answers
 
 NTYPE_LABELS = ("N=0", "N=1", "1<N<=10", "10<N<=100", "100<N<=500", "N>500")
 NTYPE_UPPER = (0, 1, 10, 100, 500)    # inclusive upper answer count of each bounded range
 
 
-def _query_runs(keys: np.ndarray, cases: np.ndarray, n_relations: int,
-                n_entities: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds [lo, hi) of each case's (anchor, relation) run in the sorted answer keys."""
-    first = answer_keys(cases, n_relations, n_entities) - cases[:, 2]
-    return np.searchsorted(keys, first), np.searchsorted(keys, first + n_entities)
+def filtered_rank(scores: np.ndarray, targets: np.ndarray,
+                  known: sparse.csr_array) -> np.ndarray:
+    """Tie-averaged rank of each row's target after masking the row's other known answers.
 
-
-def filtered_rank(scores: np.ndarray, cases: np.ndarray, known: np.ndarray,
-                  n_relations: int) -> np.ndarray:
-    """Tie-averaged rank of each row's target after masking its query's other known answers.
-
-    ``scores`` is a [B, n_e] block, overwritten in place; ``cases`` holds the
-    B (anchor, relation, target) rows; ``known`` is a sorted ``answer_keys``
-    array. rank = (upper + lower) / 2 where upper counts strictly better
-    scores and lower additionally counts exact ties.
+    ``scores`` is a [B, n_e] block, overwritten in place; ``targets`` holds
+    the B target entities; ``known`` is a SciPy sparse [B, n_e] array whose
+    nonzero cells are each row's known answers. rank = (upper + lower) / 2
+    where upper counts strictly better scores and lower additionally counts
+    exact ties.
     """
-    n_rows, n_e = scores.shape
-    rows = np.arange(n_rows)
-    lo, hi = _query_runs(known, cases, n_relations, n_e)
-    counts = hi - lo
-    # positions lo[b] .. hi[b]-1 of every row, concatenated
-    pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    s_t = scores[rows, cases[:, 2]]
-    scores[np.repeat(rows, counts), known[pos] % n_e] = -np.inf
-    scores[rows, cases[:, 2]] = s_t
+    rows = np.arange(len(scores))
+    s_t = scores[rows, targets]
+    scores[known.nonzero()] = -np.inf
+    scores[rows, targets] = s_t
     upper = 1 + (scores > s_t[:, None]).sum(axis=1)
     ties = (scores == s_t[:, None]).sum(axis=1) - 1
     return (upper + (upper + ties)) / 2.0
@@ -64,15 +55,15 @@ def evaluation_queries(kg: KnowledgeGraph, split: str) -> np.ndarray:
     return np.stack([triples, inverse], axis=1).reshape(-1, 3)
 
 
-def build_filter_index(kg: KnowledgeGraph) -> np.ndarray:
-    """Sorted, unique ``answer_keys`` of every known (anchor, relation, answer).
+def build_filter_index(kg: KnowledgeGraph) -> tuple[np.ndarray, sparse.csr_array]:
+    """``query_answers`` over every known (anchor, relation, answer).
 
     Relations are in the augmented id space: the augmented train split holds
     both directions already; valid and test add both of theirs.
     """
     known = np.concatenate([kg.train, evaluation_queries(kg, "valid"),
                             evaluation_queries(kg, "test")])
-    return np.unique(answer_keys(known, kg.n_relations, kg.n_entities))
+    return query_answers(known, kg.n_relations, kg.n_entities)
 
 
 def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | None,
@@ -107,13 +98,13 @@ def score_all_queries(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency
 
 
 def _rank_cases(params, kg, prox, encoder_config, decoder_config, cases, batch_size=512):
-    known = build_filter_index(kg)
+    queries, table = build_filter_index(kg)
     score = batch_scorer(params, kg, prox, encoder_config, decoder_config)
     ranks = np.empty(len(cases))
     for start in range(0, len(cases), batch_size):
         block = cases[start:start + batch_size]
-        ranks[start:start + len(block)] = filtered_rank(score(block[:, :2]), block, known,
-                                                        kg.n_relations)
+        ranks[start:start + len(block)] = filtered_rank(score(block[:, :2]), block[:, 2],
+                                                        answer_rows(queries, table, block))
     return ranks
 
 
@@ -148,9 +139,8 @@ def ntype_bins(counts) -> np.ndarray:
 
 def train_answer_counts(kg: KnowledgeGraph, cases: np.ndarray) -> np.ndarray:
     """Number of train triples answering each case's (anchor, relation) query."""
-    train = np.sort(answer_keys(kg.train, kg.n_relations, kg.n_entities))
-    lo, hi = _query_runs(train, cases, kg.n_relations, kg.n_entities)
-    return hi - lo
+    queries, table = query_answers(kg.train, kg.n_relations, kg.n_entities)
+    return np.diff(answer_rows(queries, table, cases).indptr)
 
 
 def ntype_report(kg: KnowledgeGraph, split: str = "test") -> dict:

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 INVERSE_SUFFIX = "_reverse"
 
@@ -172,27 +173,38 @@ def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
     )
 
 
-def answer_keys(triples: np.ndarray, n_relations: int, n_entities: int) -> np.ndarray:
-    """int64 key ``(anchor * n_relations + relation) * n_entities + answer`` per triple.
-
-    Keys sort by query (anchor, relation), then by answer, so the known
-    answers of one query form one contiguous run of a sorted key array.
-    """
-    return (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
-
-
 def query_answers(triples: np.ndarray, n_relations: int,
-                  n_entities: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (anchor, relation) queries of a triple set with their answers, as CSR arrays.
+                  n_entities: int) -> tuple[np.ndarray, sparse.csr_array]:
+    """Distinct (anchor, relation) queries of a triple set with a CSR table of their answers.
 
-    Returns ``(queries, offsets, answers)``: ``queries`` is [Q, 2] sorted by
-    (anchor, relation), and query q's distinct answers, ascending, are
-    ``answers[offsets[q]:offsets[q + 1]]``.
+    Returns ``(queries, table)``: ``queries`` is [Q, 2] sorted by (anchor,
+    relation), and row q of the [Q, n_entities] ``table`` holds 1 at each of
+    query q's distinct answers, in ascending column order.
     """
-    query, answers = np.divmod(np.unique(answer_keys(triples, n_relations, n_entities)), n_entities)
+    keys = (triples[:, 0] * n_relations + triples[:, 1]) * n_entities + triples[:, 2]
+    query, answers = np.divmod(np.unique(keys), n_entities)
     unique_query, starts = np.unique(query, return_index=True)
     queries = np.stack(np.divmod(unique_query, n_relations), axis=1)
-    return queries, np.append(starts, len(answers)), answers
+    table = sparse.csr_array((np.ones(len(answers)), answers, np.append(starts, len(answers))),
+                             shape=(len(queries), n_entities))
+    return queries, table
+
+
+def answer_rows(queries: np.ndarray, table: sparse.csr_array,
+                cases: np.ndarray) -> sparse.csr_array:
+    """[len(cases), n_e] CSR rows of a ``query_answers`` table, one per case's (anchor, relation).
+
+    A query the table does not hold reads as an empty row.
+    """
+    n = 1 + int(max(queries[:, 1].max(initial=0), cases[:, 1].max(initial=0)))
+    keys, wanted = queries[:, 0] * n + queries[:, 1], cases[:, 0] * n + cases[:, 1]
+    pos = np.searchsorted(keys, wanted)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == wanted[hit]
+    # one 1 per found case, at its table row: the product copies those rows
+    pick = sparse.csr_array((np.ones(hit.sum()), pos[hit], np.append(0, np.cumsum(hit))),
+                            shape=(len(cases), len(queries)))
+    return pick @ table
 
 
 def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.ndarray:

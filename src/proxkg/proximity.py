@@ -97,13 +97,16 @@ def extract_qa_pairs(kg: KnowledgeGraph) -> QAPairIndex:
     if not kg.augmented:
         kg = augment_inverse(kg)
     n_raw = kg.num_raw_relations
-    queries, offsets, answers = query_answers(kg.train, kg.n_relations, kg.n_entities)
+    queries, table = query_answers(kg.train, kg.n_relations, kg.n_entities)
     anchor, rel = queries.T
     direction = np.where(rel >= n_raw, HEAD_QUERY, TAIL_QUERY)
-    return QAPairIndex(np.stack([direction, anchor, rel % n_raw], axis=1), offsets, answers)
+    # SciPy may store the table's indices as int32; accumulate_spm's pair keys need int64
+    return QAPairIndex(np.stack([direction, anchor, rel % n_raw], axis=1),
+                       table.indptr.astype(np.int64), table.indices.astype(np.int64))
 
 
-def _check_cutoff(M: int) -> None:
+def check_cutoff(M: int) -> None:
+    """The one rule for the answer-set cutoff: pm needs M > 2."""
     if M <= 2:
         raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
 
@@ -114,7 +117,7 @@ def pm(M: int, answer_set_size):
     Equals 1 for two answers, decays linearly, and is 0 once the set
     reaches the cutoff size M.
     """
-    _check_cutoff(M)
+    check_cutoff(M)
     size = np.asarray(answer_set_size)
     if np.any(size < 2):
         raise ContractError("pairwise proximity needs at least two answers")
@@ -130,7 +133,7 @@ def accumulate_spm(index: QAPairIndex, M: int) -> SPMMatrix:
     once by M - 2, so its weight is one correctly rounded quotient, the same
     whatever the order of the queries or of the train triples.
     """
-    _check_cutoff(M)
+    check_cutoff(M)
     sizes = np.diff(index.offsets)
     loaded = (sizes >= 2) & (sizes < M)
     n = int(index.answers.max()) + 1 if len(index.answers) else 1
@@ -193,6 +196,7 @@ def save_proximity_graph(graph: ProximityGraph, path) -> None:
 
 
 def load_proximity_graph(path) -> ProximityGraph:
+    """Reads a ``save_proximity_graph`` file; records it could not have written are a DataError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -210,6 +214,13 @@ def load_proximity_graph(path) -> ProximityGraph:
     edges = np.frombuffer(payload, dtype=EDGE_DTYPE)
     if n_edges and max(edges["i"].max(), edges["j"].max()) >= n_entities:
         raise DataError(f"proximity-graph file {path} has an entity id >= {n_entities}")
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    if not (np.all(i < j) and np.all((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1])))):
+        raise DataError(f"proximity-graph file {path}: records are not strictly increasing "
+                        "(i, j) pairs with i < j")
+    if not np.all(np.isfinite(w) & (w > threshold)):
+        raise DataError(f"proximity-graph file {path} has a weight that is not a finite "
+                        f"value above its threshold {threshold}")
     return ProximityGraph(n_entities, threshold, M, edges)
 
 

@@ -22,12 +22,13 @@ from scipy import sparse
 from . import autodiff as ad
 from . import evaluation
 from .autodiff import Tensor
-from .decoder import DecoderConfig, bce_loss, conve_score, default_reshape, init_decoder_params
-from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency,
-                      encode, init_encoder_params)
+from .decoder import (DecoderConfig, bce_loss, conve_score, decoder_param_shapes, default_reshape,
+                      init_decoder_params)
+from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode,
+                      encoder_param_shapes, init_encoder_params)
 from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, query_answers,
                      sample_edge_dropout)
-from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph,
+from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph, check_cutoff,
                         extract_qa_pairs)
 
 GRID_BATCH_SIZES = (256, 512, 1024)
@@ -109,8 +110,7 @@ def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainCon
 def proximity_settings(settings: dict) -> tuple[int, float]:
     """The answer-set cutoff M (> 2) and the finite edge threshold I (>= 0) of a run."""
     M, I = int(settings.get("M", 50)), float(settings.get("I", 1.0))
-    if M <= 2:
-        raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
+    check_cutoff(M)
     if not (np.isfinite(I) and I >= 0):
         raise ContractError(f"threshold I must be finite and non-negative, got {I}")
     return M, I
@@ -127,9 +127,7 @@ def train_query_table(kg: KnowledgeGraph) -> tuple[np.ndarray, sparse.csr_array]
     """Unique (anchor, relation) augmented train queries, and a [Q, n_e] CSR table of their answers."""
     if not kg.augmented:
         raise ContractError("training requires an augmented knowledge graph")
-    queries, offsets, answers = query_answers(kg.train, kg.n_relations, kg.n_entities)
-    return queries, sparse.csr_array((np.ones(len(answers)), answers, offsets),
-                                     shape=(len(queries), kg.n_entities))
+    return query_answers(kg.train, kg.n_relations, kg.n_entities)
 
 
 def build_batches(queries: np.ndarray, answers: sparse.csr_array, n_entities: int,
@@ -392,11 +390,9 @@ class Trainer:
     def restore(cls, path, kg: KnowledgeGraph, pgraph: ProximityGraph | None) -> "Trainer":
         """Rebuild a trainer whose next step is bit-identical to the saved run's."""
         header, blobs = load_checkpoint(path)
+        check_checkpoint(header, blobs, kg)
         trainer = cls(kg, pgraph, *_checkpoint_configs(header))
         for name, p in trainer.params.items():
-            if blobs[name].shape != p.data.shape:
-                raise ContractError(f"checkpoint {name} has shape {blobs[name].shape}, "
-                                    f"this knowledge graph's model {p.data.shape}")
             p.data = blobs[name]
         trainer.optimizer.load_state(header["optimizer"], blobs)
         trainer.rng.bit_generator.state = header["rng_state"]
@@ -413,6 +409,26 @@ def _checkpoint_configs(header: dict) -> tuple[EncoderConfig, DecoderConfig, Tra
                 DecoderConfig(**header["decoder_config"]), TrainConfig(**header["train_config"]))
     except TypeError as exc:
         raise DataError(f"damaged checkpoint config: {exc}") from None
+
+
+def check_checkpoint(header: dict, blobs: dict, kg: KnowledgeGraph) -> None:
+    """Every blob a loaded checkpoint's configs and ``kg``'s sizes imply is there, at its shape.
+
+    A missing blob is a DataError, one of another shape a ContractError. The
+    shapes come from the configs, so no parameter is allocated to check them.
+    """
+    enc, dec, trn = _checkpoint_configs(header)
+    shapes = {**encoder_param_shapes(enc, kg.n_entities, kg.n_relations),
+              **decoder_param_shapes(dec, kg.n_entities)}
+    if trn.optimizer == "adam":
+        shapes.update({f"opt.{k}.{name}": shape for name, shape in shapes.items() for k in "mv"})
+    for name, shape in shapes.items():
+        if name not in blobs:
+            raise DataError(f"checkpoint has no {name!r} blob")
+        got = blobs[name].shape
+        if got != shape:
+            raise ContractError(f"checkpoint {name} has shape {got} ({got[0] if got else 0} rows), "
+                                f"this knowledge graph's model {shape}")
 
 
 def checkpoint_model(header: dict, blobs: dict) -> tuple[dict, EncoderConfig, DecoderConfig]:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,16 @@ def kg_from_triples(train, valid=(), test=()):
 def spm_records(entries):
     """SPMMatrix records of an ``{(i, j): w}`` dict, sorted by (i, j)."""
     return np.array(sorted((i, j, w) for (i, j), w in entries.items()), dtype=EDGE_DTYPE)
+
+
+def rewrite_checkpoint(path, blobs):
+    """Rewrite the checkpoint file at ``path`` to hold exactly ``blobs``, its header otherwise kept."""
+    data = path.read_bytes()
+    header = json.loads(data[16:16 + int.from_bytes(data[8:16], "little")])
+    header["blobs"] = [{"name": name, "shape": list(blob.shape)} for name, blob in blobs.items()]
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw
+                     + b"".join(np.asarray(blob, np.float64).tobytes() for blob in blobs.values()))
 
 
 @pytest.fixture

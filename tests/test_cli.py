@@ -11,7 +11,7 @@ from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError, load_kg, save_kg
 from proxkg.synth import clustered_kg, toy_kg, write_kg_files
 from proxkg.training import TrainConfig, load_checkpoint
-from conftest import write_triples
+from conftest import rewrite_checkpoint, write_triples
 
 
 @pytest.fixture
@@ -358,6 +358,29 @@ def test_cli_checkpoint_from_another_graph_is_config_error(tmp_path, built_dir, 
     assert run(args) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "entity_embed" in err and f"{trained_on} rows" in err and "13" in err
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda blobs: blobs.pop("kg_W0"), EXIT_DATA),
+    (lambda blobs: blobs.update(kg_W0=np.zeros((4, 4))), EXIT_CONFIG),
+], ids=["missing", "misshapen"])
+def test_cli_checkpoint_blob_unlike_the_model_is_rejected(built_dir, edit, code):
+    args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
+    assert run(["train"] + args) == EXIT_OK
+    ckpt = built_dir / "checkpoint.bin"
+    _, blobs = load_checkpoint(ckpt)
+    edit(blobs)
+    rewrite_checkpoint(ckpt, blobs)
+    assert run(["evaluate"] + args) == code
+
+
+def test_cli_nan_proximity_weight_is_data_error(built_dir, capsys):
+    path = built_dir / "proximity_graph.bin"
+    data = path.read_bytes()
+    assert len(data) > 36                               # a 36-byte header, then (i, j, w) records
+    path.write_bytes(data[:52] + struct.pack("<d", float("nan")) + data[60:])
+    assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["build-proximity", "train"])

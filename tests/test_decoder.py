@@ -152,8 +152,8 @@ def test_large_logits_rank_apart(rng):
     params = zero_weight_params(cfg, [40.0, 41.0, 0.0])
     out = conve_score(Tensor(rng.uniform(-1, 1, (1, 8))), Tensor(rng.uniform(-1, 1, (1, 8))),
                       Tensor(rng.uniform(-1, 1, (3, 8))), params, cfg)
-    no_known = np.empty(0, dtype=np.int64)
-    rank = filtered_rank(out.data.copy(), np.array([[1, 0, 0]]), no_known, n_relations=1)
+    no_known = sparse.csr_array(out.shape)
+    rank = filtered_rank(out.data.copy(), np.array([0]), no_known)
     assert rank.tolist() == [2.0]       # logit 40 ranks below 41, not tied with it
 
 

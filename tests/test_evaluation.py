@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import proxkg.evaluation as ev
 from proxkg.decoder import DecoderConfig, init_decoder_params
@@ -8,7 +9,7 @@ from proxkg.evaluation import (NTYPE_LABELS, build_filter_index, evaluate,
                                evaluation_queries, filtered_rank,
                                metrics_from_ranks, ntype_bins, ntype_mrr_breakdown,
                                ntype_report, score_all_queries)
-from proxkg.kgdata import ContractError, answer_keys, augment_inverse
+from proxkg.kgdata import ContractError, answer_rows, augment_inverse, query_answers
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
 from proxkg.synth import random_kg, toy_kg
 from conftest import kg_from_triples
@@ -36,10 +37,11 @@ def sort_rank_oracle(scores, target, known_true):
 
 
 def rank_one(scores, target, known):
-    """filtered_rank on a single row with query (0, 0) of one relation: its keys are entity ids."""
-    keys = np.unique(np.asarray(list(known), dtype=np.int64))
-    return filtered_rank(np.array(scores, dtype=float)[None], np.array([[0, 0, target]]),
-                         keys, 1)[0]
+    """filtered_rank on a single row whose filter row holds the entities in ``known``."""
+    scores = np.array(scores, dtype=float)[None]
+    filter_row = np.zeros_like(scores)
+    filter_row[0, list(known)] = 1.0
+    return filtered_rank(scores, np.array([target]), sparse.csr_array(filter_row))[0]
 
 
 def test_filtered_rank_three_way_tie():
@@ -91,13 +93,13 @@ def test_filtered_rank_batch_matches_sort_oracle():
     # repeated queries share a filter; some filters hold the row's own target
     filters = {(a, r): set(rng.choice(n_e, size=int(rng.integers(0, 12)), replace=False).tolist())
                for a in range(8) for r in range(n_rel)}
-    known = np.unique(answer_keys(np.array([(a, r, e) for (a, r), f in filters.items()
-                                            for e in f], dtype=np.int64).reshape(-1, 3),
-                                  n_rel, n_e))
+    queries, table = query_answers(np.array([(a, r, e) for (a, r), f in filters.items()
+                                             for e in f], dtype=np.int64).reshape(-1, 3),
+                                   n_rel, n_e)
     scores = np.where(rng.random((n_rows, n_e)) < 0.5,
                       rng.choice([0.1, 0.5, 0.9], size=(n_rows, n_e)),
                       rng.uniform(0, 1, (n_rows, n_e)))
-    got = filtered_rank(scores.copy(), cases, known, n_rel)
+    got = filtered_rank(scores.copy(), cases[:, 2], answer_rows(queries, table, cases))
     assert any(t in filters[(a, r)] for a, r, t in cases.tolist())
     for row, (a, r, t) in enumerate(cases.tolist()):
         assert got[row] == sort_rank_oracle(scores[row], t, filters[(a, r)] - {t})
@@ -149,16 +151,15 @@ def test_evaluation_queries_both_directions():
 def test_filter_index_covers_all_splits():
     kg = augment_inverse(kg_from_triples(
         [("a", "r", "b")], valid=[("a", "r", "c")], test=[("a", "r", "d")]))
-    index = build_filter_index(kg)
+    queries, table = build_filter_index(kg)
     e = kg.entities.lookup
 
     def answers(anchor, rel):
-        q, answer = np.divmod(index, kg.n_entities)
-        return set(answer[q == anchor * kg.n_relations + rel].tolist())
+        return set(answer_rows(queries, table, np.array([[anchor, rel, 0]])).indices.tolist())
 
     assert answers(e("a"), 0) == {e("b"), e("c"), e("d")}
     assert answers(e("b"), kg.num_raw_relations) == {e("a")}
-    assert np.array_equal(index, np.unique(index))
+    assert np.array_equal(queries, np.unique(queries, axis=0)) and table.has_canonical_format
 
 
 def test_evaluate_perfect_model(rng):

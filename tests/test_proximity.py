@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxkg.kgdata import ContractError, DataError, augment_inverse
+from proxkg.kgdata import ContractError, DataError, KnowledgeGraph, Vocabulary, augment_inverse
 from proxkg.proximity import (HEAD_QUERY, TAIL_QUERY, QAPairIndex,
                               SPMMatrix, accumulate_spm, build_proximity_graph,
                               export_proximity_tsv, extract_qa_pairs,
@@ -319,3 +320,31 @@ def test_load_rejects_out_of_range_entity(tmp_path):
     path.write_bytes(data[:-24] + struct.pack("<QQd", 1, 3, 2.0))
     with pytest.raises(DataError):
         load_proximity_graph(path)
+
+
+@pytest.mark.parametrize("records", [
+    [(0, 1, 1.5), (0, 1, 1.5)],
+    [(1, 2, 2.0), (0, 1, 1.5)],
+    [(1, 0, 1.5)],
+    [(1, 1, 1.5)],
+    [(0, 1, float("nan"))],
+    [(0, 1, 0.5)],
+    [(0, 1, 1.0)],
+], ids=["repeated", "unsorted", "i_above_j", "self_loop", "nan_weight", "weight_below_threshold",
+        "weight_at_threshold"])
+def test_load_rejects_records_a_save_cannot_write(tmp_path, records):
+    path = tmp_path / "graph.bin"
+    path.write_bytes(b"PXGR" + struct.pack("<IQdIQ", 1, 3, 1.0, 4, len(records))
+                     + b"".join(struct.pack("<QQd", *record) for record in records))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_proximity_graph(path)
+
+
+def test_answer_ids_past_int32_pair_keys_stay_exact():
+    """Pair key i * n + j reaches 2.5e9 here, past int32, however SciPy holds the answers."""
+    n = 50_000
+    no_triples = np.empty((0, 3), np.int64)
+    kg = KnowledgeGraph(Vocabulary(f"e{i}" for i in range(n)), Vocabulary(["r"]),
+                        np.array([[0, 0, n - 2], [0, 0, n - 1]]), no_triples, no_triples)
+    records = accumulate_spm(extract_qa_pairs(kg), 50).records
+    assert records.tolist() == [(n - 2, n - 1, 1.0)]

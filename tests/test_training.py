@@ -16,7 +16,7 @@ from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
                              build_batches, config_digest, grid_search,
                              checkpoint_model, load_checkpoint, make_configs,
                              save_checkpoint, train_query_table, write_trial_table)
-from conftest import kg_from_triples
+from conftest import kg_from_triples, rewrite_checkpoint
 
 # flat run settings of the toy model, as the CLI would pass them
 TOY_SETTINGS = dict(dim=8, kg_layers=1, prox_layers=1, n_filters=4, kernel=2,
@@ -280,6 +280,25 @@ def test_restore_on_another_graph_is_contract_error(tmp_path):
     with pytest.raises(ContractError, match=rf"entity_embed.*\({kg.n_entities}, 8\).*"
                                             rf"\({other.n_entities}, 8\)"):
         Trainer.restore(path, other, other_pg)
+
+
+@pytest.mark.parametrize("name, shape, error", [
+    ("fc_b", None, DataError),
+    ("opt.m.kg_W0", None, DataError),
+    ("opt.v.entity_bias", (3,), ContractError),
+], ids=["missing_parameter", "missing_moment", "misshapen_moment"])
+def test_restore_checks_every_blob_against_the_model(tmp_path, name, shape, error):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    path = tmp_path / "ckpt.bin"
+    Trainer(kg, pg, enc, dec, trn).save(path)
+    _, blobs = load_checkpoint(path)
+    if shape is None:
+        del blobs[name]
+    else:
+        blobs[name] = np.zeros(shape)
+    rewrite_checkpoint(path, blobs)
+    with pytest.raises(error, match=name):
+        Trainer.restore(path, kg, pg)
 
 
 def test_checkpoint_header_fields(tmp_path, rng):
