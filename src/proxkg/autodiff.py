@@ -162,6 +162,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw)
 
 
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b, the bias added in place to the fresh product so the output is written once.
+
+    b broadcasts over the rows of the product. The backward is g W^T, x^T g
+    and the row sum of g.
+    """
+    if x.data.ndim != 2 or W.data.ndim != 2:
+        raise ValueError("affine expects 2-d operands")
+    if x.data.shape[1] != W.data.shape[0]:
+        raise ValueError(f"affine inner dims differ: {x.data.shape} vs {W.data.shape}")
+    out = x.data @ W.data
+    out += b.data
+
+    def bw(g):
+        return [(x, g @ W.data.T), (W, x.data.T @ g), (b, _unbroadcast(g, b.data.shape))]
+
+    return _make(out, (x, W, b), bw)
+
+
 def transpose(a: Tensor) -> Tensor:
     out = a.data.T
 
@@ -439,8 +458,11 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     """Valid 2-d cross-correlation, stride 1, no padding.
 
     inp: [B, C_in, H, W], filters: [C_out, C_in, k, k] -> [B, C_out, H-k+1, W-k+1].
-    The backward is the adjoint of the window map: each window's gradient, g
-    contracted with the filters, is added back onto the k x k input cells it covers.
+    The forward is one batched GEMM, filters [C_out, C_in*k*k] times the
+    [B, C_in*k*k, oh*ow] columns of the window view, so the output is
+    C-contiguous and flattens per row without a copy. The backward is the
+    adjoint of the window map: each window's gradient, g contracted with the
+    filters, is added back onto the k x k input cells it covers.
     """
     if inp.data.ndim != 4 or filters.data.ndim != 4:
         raise ValueError("conv2d expects 4-d input and filters")
@@ -451,15 +473,32 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     if kh > H or kw > W:
         raise ValueError(f"kernel {kh}x{kw} larger than input {H}x{W}")
     windows = np.lib.stride_tricks.sliding_window_view(inp.data, (kh, kw), axis=(2, 3))
-    out = np.einsum("bchwij,ocij->bohw", windows, filters.data, optimize=True)
+    oh, ow = windows.shape[2:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C_in * kh * kw, oh * ow)
+    out = np.matmul(filters.data.reshape(C_out, C_in * kh * kw), cols).reshape(B, C_out, oh, ow)
 
     def bw(g):
         g_filters = np.einsum("bchwij,bohw->ocij", windows, g, optimize=True)
         g_windows = np.einsum("bohw,ocij->bchwij", g, filters.data, optimize=True)
         g_inp = np.zeros_like(inp.data)
-        oh, ow = g.shape[2:]
         for i, j in np.ndindex(kh, kw):
             g_inp[:, :, i:i + oh, j:j + ow] += g_windows[..., i, j]
         return [(inp, g_inp), (filters, g_filters)]
+
+    return _make(out, (inp, filters), bw)
+
+
+def conv2d_relu(inp: Tensor, filters: Tensor) -> Tensor:
+    """relu(conv2d(inp, filters)), clamping the convolution's fresh output in place.
+
+    conv2d's backward reads only the input windows and the filters, never its
+    output, so the map is written once. The backward is g * (out > 0) passed
+    on to conv2d's backward.
+    """
+    conv = conv2d(inp, filters)
+    out = np.maximum(conv.data, 0.0, out=conv.data)
+
+    def bw(g):
+        return conv._backward(g * (out > 0.0))
 
     return _make(out, (inp, filters), bw)

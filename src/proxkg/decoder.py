@@ -101,13 +101,13 @@ def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: 
     x = ad.reshape(ad.concat([h_embed, r_embed], axis=1),
                    (B, 1, 2 * config.reshape_h, config.reshape_w))
     x = ad.dropout(x, config.dropout_input, seed, _DROP_INPUT, step, training)
-    x = ad.relu(ad.conv2d(x, params["conv_filters"]))
+    x = ad.conv2d_relu(x, params["conv_filters"])
     x = ad.dropout(x, config.dropout_feature, seed, _DROP_FEATURE, step, training)
-    x = ad.reshape(x, (B, config.flat_dim))
-    proj = ad.add(ad.matmul(x, params["fc_W"]), params["fc_b"])
+    x = ad.reshape(x, (B, config.flat_dim))     # a view: conv2d's output is C-ordered
+    proj = ad.affine(x, params["fc_W"], params["fc_b"])
     proj = ad.dropout(proj, config.dropout_hidden, seed, _DROP_HIDDEN, step, training)
     proj = ad.relu(proj)
-    return ad.add(ad.matmul(proj, ad.transpose(entities_enc)), params["entity_bias"])
+    return ad.affine(proj, ad.transpose(entities_enc), params["entity_bias"])
 
 
 # mean binary cross-entropy over every (query, entity) cell of the logits

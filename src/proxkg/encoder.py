@@ -77,8 +77,7 @@ def compose(e: Tensor, r: Tensor, mode: str, params: dict | None = None) -> Tens
     if mode == "multiplicative":
         return ad.mul(e, r)
     if mode == "mlp":
-        pre = ad.add(ad.matmul(ad.concat([e, r], axis=1), params["comp_W"]), params["comp_b"])
-        return ad.tanh(pre)
+        return ad.tanh(ad.affine(ad.concat([e, r], axis=1), params["comp_W"], params["comp_b"]))
     raise ContractError(f"unknown composition {mode!r}")
 
 
@@ -156,8 +155,8 @@ def gp_layer(entities: Tensor, prox: ProximityAdjacency, W: Tensor) -> Tensor:
 
 def relation_mlp(relations: Tensor, params: dict) -> Tensor:
     """One hidden layer of the embedding dim with tanh, then a linear output layer."""
-    hidden = ad.tanh(ad.add(ad.matmul(relations, params["rel_mlp_W1"]), params["rel_mlp_b1"]))
-    return ad.add(ad.matmul(hidden, params["rel_mlp_W2"]), params["rel_mlp_b2"])
+    hidden = ad.tanh(ad.affine(relations, params["rel_mlp_W1"], params["rel_mlp_b1"]))
+    return ad.affine(hidden, params["rel_mlp_W2"], params["rel_mlp_b2"])
 
 
 def encode(params: dict, adj: RelationalAdjacency, prox: ProximityAdjacency | None,

@@ -142,6 +142,14 @@ def test_criterion_4_gradient_suite():
                    [rng.uniform(-1, 1, 3)])
     check_gradient(ad.conv2d, [rng.uniform(-1, 1, (2, 2, 4, 3)),
                                rng.uniform(-1, 1, (2, 2, 2, 2))])
+    fused_rng = np.random.default_rng(34)          # leaves rng's draws below as they were
+    check_gradient(ad.affine, [A, C, fused_rng.uniform(-1, 1, 2)])      # bias over rows
+    check_gradient(lambda x, e, b: ad.affine(x, ad.transpose(e), b),     # the scoring product
+                   [C.T, fused_rng.uniform(-1, 1, (5, 4)), fused_rng.uniform(-1, 1, 5)])
+    conv_inp, conv_f = fused_rng.uniform(-1, 1, (2, 2, 4, 3)), fused_rng.uniform(-1, 1, (2, 2, 2, 2))
+    # no conv output within 1e-3 of the relu's kink, where a difference step of 1e-5 could cross it
+    assert np.abs(ad.conv2d(Tensor(conv_inp), Tensor(conv_f)).data).min() > 1e-3
+    check_gradient(ad.conv2d_relu, [conv_inp, conv_f])
     bce_rng = np.random.default_rng(33)            # leaves rng's draws below as they were
     logits = np.append(bce_rng.uniform(-3, 3, 6), [30.0, -30.0]).reshape(2, 4)
     bce_targets = sparse.csr_array(bce_rng.uniform(0, 1, (2, 4)))

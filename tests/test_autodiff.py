@@ -370,7 +370,10 @@ def test_conv2d_matches_pad_and_flip_reference(rng, x_shape, f_shape):
     g = rng.normal(size=out.shape)
     (_, g_inp), (_, g_filters) = out._backward(g)
     ref_out, ref_inp, ref_filters = conv2d_reference(x, f, g)
-    assert np.array_equal(out.data, ref_out)
+    if x_shape[1] == 1:       # one input channel: the GEMM sums the k*k taps in einsum's order
+        assert np.array_equal(out.data, ref_out)
+    else:
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-12)
     assert np.array_equal(g_filters, ref_filters)
     np.testing.assert_allclose(g_inp, ref_inp, rtol=1e-12, atol=1e-12 * np.abs(ref_inp).max())
 
@@ -388,6 +391,48 @@ def test_conv2d_backward_peak_memory(rng):
     finally:
         tracemalloc.stop()
     assert peak < 3 * g.nbytes
+
+
+def test_conv2d_output_flattens_without_a_copy(rng):
+    """The output is C-ordered, so the decoder's per-row flatten is a view."""
+    out = ad.conv2d(Tensor(rng.normal(size=(4, 1, 20, 20))), Tensor(rng.normal(size=(32, 1, 3, 3))))
+    assert out.data.flags.c_contiguous
+    assert np.shares_memory(ad.reshape(out, (4, -1)).data, out.data)
+
+
+def test_conv2d_relu_matches_relu_of_conv2d_bit_for_bit(rng):
+    x, f = rng.normal(size=(3, 2, 6, 5)), rng.normal(size=(4, 2, 3, 3))
+    fused_inputs = [Tensor(x, requires_grad=True), Tensor(f, requires_grad=True)]
+    chained_inputs = [Tensor(x, requires_grad=True), Tensor(f, requires_grad=True)]
+    fused = ad.conv2d_relu(*fused_inputs)
+    chained = ad.relu(ad.conv2d(*chained_inputs))
+    assert np.array_equal(fused.data, chained.data)
+    weights = Tensor(rng.normal(size=fused.shape))
+    ad.tsum(ad.mul(fused, weights)).backward()
+    ad.tsum(ad.mul(chained, weights)).backward()
+    for a, b in zip(fused_inputs, chained_inputs):
+        assert np.array_equal(a.grad, b.grad)
+
+
+def test_affine_matches_add_of_matmul_bit_for_bit(rng):
+    x, W, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    fused_inputs = [Tensor(a, requires_grad=True) for a in (x, W, b)]
+    chained_inputs = [Tensor(a, requires_grad=True) for a in (x, W, b)]
+    fused = ad.affine(*fused_inputs)
+    chained = ad.add(ad.matmul(*chained_inputs[:2]), chained_inputs[2])
+    assert np.array_equal(fused.data, chained.data)
+    weights = Tensor(rng.normal(size=fused.shape))
+    ad.tsum(ad.mul(fused, weights)).backward()
+    ad.tsum(ad.mul(chained, weights)).backward()
+    for a, c in zip(fused_inputs, chained_inputs):
+        assert np.array_equal(a.grad, c.grad)
+
+
+def test_affine_shape_errors():
+    with pytest.raises(ValueError):
+        ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
 def test_activation_values():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -87,6 +89,25 @@ def test_conve_matches_naive_reference(rng):
     out = conve_score(Tensor(h), Tensor(r), Tensor(E_enc), params, cfg)
     expected = naive_conve(h, r, E_enc, params, cfg)
     assert np.max(np.abs(out.data - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("n_e", [3000, 20000])
+def test_conve_score_writes_each_large_array_once(rng, n_e):
+    """A graph-free score holds at most one logit array and one conv map at a time."""
+    cfg = DecoderConfig(dim=200)
+    B = 64
+    params = {k: Tensor(p.data) for k, p in init_decoder_params(cfg, n_e, rng).items()}
+    h, r = Tensor(rng.uniform(-1, 1, (B, cfg.dim))), Tensor(rng.uniform(-1, 1, (B, cfg.dim)))
+    E_enc = Tensor(rng.uniform(-1, 1, (n_e, cfg.dim)))
+    tracemalloc.start()
+    try:
+        out = conve_score(h, r, E_enc, params, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (B, n_e)
+    conv_map = B * cfg.flat_dim * 8
+    assert peak <= 1.1 * (out.data.nbytes + conv_map)
 
 
 def test_conve_dim_mismatch(rng):
