@@ -36,10 +36,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -119,15 +115,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bw(g):
-        return [(a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(-g, b.data.shape))]
-
-    return _make(out, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
@@ -149,36 +136,37 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-d operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dims differ: {a.data.shape} vs {b.data.shape}")
-    out = a.data @ b.data
-
-    def bw(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
-
-    return _make(out, (a, b), bw)
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """a + (-b), which is a - b bit for bit; kept because perfbench/spans.py traces it by name."""
+    return add(a, scale(b, -1.0))
 
 
-def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ W + b, the bias added in place to the fresh product so the output is written once.
 
-    b broadcasts over the rows of the product. The backward is g W^T, x^T g
-    and the row sum of g.
+    b, if given, broadcasts over the rows of the product. The backward is
+    g W^T, x^T g and the row sum of g.
     """
     if x.data.ndim != 2 or W.data.ndim != 2:
         raise ValueError("affine expects 2-d operands")
     if x.data.shape[1] != W.data.shape[0]:
         raise ValueError(f"affine inner dims differ: {x.data.shape} vs {W.data.shape}")
     out = x.data @ W.data
-    out += b.data
+    if b is not None:
+        out += b.data
 
     def bw(g):
-        return [(x, g @ W.data.T), (W, x.data.T @ g), (b, _unbroadcast(g, b.data.shape))]
+        grads = [(x, g @ W.data.T), (W, x.data.T @ g)]
+        if b is not None:
+            grads.append((b, _unbroadcast(g, b.data.shape)))
+        return grads
 
-    return _make(out, (x, W, b), bw)
+    return _make(out, (x, W) if b is None else (x, W, b), bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b: ``affine`` without a bias."""
+    return affine(a, b)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -372,7 +360,8 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), bw)
 
 
-EDGE_CHUNK = 1024   # edges per block of _row_dots; its two [EDGE_CHUNK, d] row blocks stay in cache
+EDGE_CHUNK = 1024   # edges per block of _row_dots: two [EDGE_CHUNK, d] float64 row blocks,
+                    # 1024 x d x 8 bytes each, so 1.6 MB at d=200 and 4 MB at d=500
 
 
 def _row_dots(a, ia, b, ib) -> np.ndarray:

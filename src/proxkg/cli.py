@@ -19,7 +19,7 @@ from . import __version__
 from .encoder import ProximityAdjacency
 from .evaluation import evaluate, ntype_mrr_breakdown, ntype_report
 from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, augment_inverse,
-                     ingest_dataset, load_kg, save_kg)
+                     ingest_dataset, load_kg, read_lines, save_kg)
 from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_tsv,
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
@@ -46,15 +46,14 @@ _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no"
 
 def parse_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ContractError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(read_lines(path, ContractError), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ContractError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        values[key.strip()] = raw.strip()
     return values
 
 
@@ -119,13 +118,15 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _artifact_path(cfg, key: str, name: str) -> str:
+    """The path the run configures under ``key``, else ``name`` in its out_dir."""
+    return cfg.get(key) or os.path.join(cfg.get("out_dir", "."), name)
+
+
 def _load_run(args) -> tuple[dict, KnowledgeGraph]:
     """The run's settings and its knowledge graph, augmented with inverse relations."""
     cfg = load_run_config(args)
-    path = cfg.get("kg_path") or os.path.join(cfg.get("out_dir", "."), "kg.npz")
-    if not os.path.exists(path):
-        raise DataError(f"knowledge graph artifact not found: {path}")
-    kg = load_kg(path)
+    kg = load_kg(_artifact_path(cfg, "kg_path", "kg.npz"))
     return cfg, kg if kg.augmented else augment_inverse(kg)
 
 
@@ -149,10 +150,7 @@ def cmd_build_proximity(args) -> int:
 def _load_pgraph(cfg, kg, enc):
     if enc.kg_only:
         return None
-    path = cfg.get("pgraph_path") or os.path.join(cfg.get("out_dir", "."), "proximity_graph.bin")
-    if not os.path.exists(path):
-        raise DataError(f"proximity graph artifact not found: {path}")
-    graph = load_proximity_graph(path)
+    graph = load_proximity_graph(_artifact_path(cfg, "pgraph_path", "proximity_graph.bin"))
     if "M" in cfg and graph.M != cfg["M"]:
         raise ContractError(f"proximity graph was built with M={graph.M}, run configures M={cfg['M']}")
     if "I" in cfg and graph.threshold != cfg["I"]:
@@ -168,7 +166,7 @@ def cmd_train(args) -> int:
     enc, dec, trn = make_configs(cfg)
     pgraph = _load_pgraph(cfg, kg, enc)
     out = _out_dir(cfg)
-    ckpt_path = _checkpoint_path(cfg)
+    ckpt_path = _artifact_path(cfg, "checkpoint_path", "checkpoint.bin")
     if not os.path.isdir(os.path.dirname(ckpt_path) or "."):
         raise DataError(f"checkpoint directory does not exist: {ckpt_path}")
     trainer = Trainer(kg, pgraph, enc, dec, trn)
@@ -182,16 +180,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_path(cfg) -> str:
-    return cfg.get("checkpoint_path") or os.path.join(cfg.get("out_dir", "."), "checkpoint.bin")
-
-
 def _checkpoint_setup(cfg, kg):
     """The checkpoint's model and proximity adjacency, and the provenance of what it scores."""
-    path = _checkpoint_path(cfg)
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint not found: {path}")
-    header, blobs = load_checkpoint(path)
+    header, blobs = load_checkpoint(_artifact_path(cfg, "checkpoint_path", "checkpoint.bin"))
     check_checkpoint(header, blobs, kg)
     params, enc, dec = checkpoint_model(header, blobs)
     pgraph = _load_pgraph(cfg, kg, enc)
@@ -223,7 +214,7 @@ def cmd_ntype(args) -> int:
         for row in report["ranges"]:
             fh.write(f"{row['label']}\t{row['count']}\t{row['rate']:.2f}\n")
         fh.write(f"Total\t{report['total']}\t1.0\n")
-    ckpt = _checkpoint_path(cfg)
+    ckpt = _artifact_path(cfg, "checkpoint_path", "checkpoint.bin")
     if os.path.exists(ckpt):
         params, enc, dec, prox, prov = _checkpoint_setup(cfg, kg)
         breakdown = ntype_mrr_breakdown(params, kg, prox, enc, dec, split=split)
@@ -276,7 +267,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:     # an unreadable path: missing, a directory, ...
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

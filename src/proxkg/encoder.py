@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -129,7 +130,7 @@ class ProximityAdjacency:
     """Directed expansion of the proximity graph with pre-normalized weights.
 
     Each undirected edge (i, j) becomes the messages j -> i and i -> j,
-    ordered by (dst, src).
+    ordered by (dst, src) as the rows of the canonical CSR matrix W + W^T.
 
     The per-neighborhood softmax of the accumulated proximity values is a
     fixed function of the graph, so it is computed once with numpy and
@@ -138,13 +139,12 @@ class ProximityAdjacency:
 
     def __init__(self, graph: ProximityGraph):
         i, j = graph.edges["i"].astype(np.int64), graph.edges["j"].astype(np.int64)
-        dst, src = np.concatenate([i, j]), np.concatenate([j, i])
-        order = np.lexsort((src, dst))
-        self.src = src[order]
-        self.dst = dst[order]
-        self.n_entities = graph.n_entities
-        weights = np.concatenate([graph.edges["w"], graph.edges["w"]])[order]
-        self.alpha = ad.segment_softmax(Tensor(weights), self.dst, graph.n_entities).data
+        n = self.n_entities = graph.n_entities
+        W = sparse.csr_array((graph.edges["w"], (i, j)), shape=(n, n))
+        S = W + W.T     # i < j, so no cell is summed: the data are the records' weights
+        self.dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(S.indptr))
+        self.src = S.indices.astype(np.int64)
+        self.alpha = ad.segment_softmax(Tensor(S.data), self.dst, n).data
 
 
 def gp_layer(entities: Tensor, prox: ProximityAdjacency, W: Tensor) -> Tensor:

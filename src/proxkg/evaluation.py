@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .autodiff import Tensor
+from . import autodiff as ad
 from .decoder import DecoderConfig, conve_score
 from .encoder import EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode
-from .kgdata import ContractError, KnowledgeGraph, answer_rows, query_answers
+from .kgdata import ContractError, KnowledgeGraph, answer_rows, inverse_triples, query_answers
 
 NTYPE_LABELS = ("N=0", "N=1", "1<N<=10", "10<N<=100", "100<N<=500", "N>500")
 NTYPE_UPPER = (0, 1, 10, 100, 500)    # inclusive upper answer count of each bounded range
@@ -51,7 +51,7 @@ def evaluation_queries(kg: KnowledgeGraph, split: str) -> np.ndarray:
     if not kg.augmented:
         raise ContractError("evaluation requires an augmented knowledge graph")
     triples = kg.raw_train() if split == "train" else kg.split(split)
-    inverse = np.stack([triples[:, 2], triples[:, 1] + kg.num_raw_relations, triples[:, 0]], axis=1)
+    inverse = inverse_triples(triples, kg.num_raw_relations)
     return np.stack([triples, inverse], axis=1).reshape(-1, 3)
 
 
@@ -73,13 +73,12 @@ def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | No
     ``score`` maps a [B, 2] (anchor, relation) block to its [B, n_e] logit
     matrix. Parameters are wrapped as constants, so no op records a backward graph.
     """
-    params = {name: Tensor(p.data) for name, p in params.items()}
+    params = {name: ad.Tensor(p.data) for name, p in params.items()}
     adj = RelationalAdjacency(kg.train, None, kg.n_entities)
     E, R = encode(params, adj, prox, encoder_config)
 
     def score(queries: np.ndarray) -> np.ndarray:
-        h = Tensor(E.data[queries[:, 0]])
-        r = Tensor(R.data[queries[:, 1]])
+        h, r = ad.gather_rows(E, queries[:, 0]), ad.gather_rows(R, queries[:, 1])
         return conve_score(h, r, E, params, decoder_config, training=False).data
 
     return score

@@ -98,22 +98,30 @@ class KnowledgeGraph:
         return self.train[: len(self.train) // 2]
 
 
+def read_lines(path, error=DataError) -> list[str]:
+    """The lines of a UTF-8 text file, endings kept; undecodable bytes raise ``error``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _parse_split(path, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:
     triples = []
     seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            if line in seen:
-                raise DataError(f"{path}:{lineno}: duplicate triple {line!r} within split")
-            seen.add(line)
-            h, r, t = fields
-            triples.append((entities.intern(h), relations.intern(r), entities.intern(t)))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        if line in seen:
+            raise DataError(f"{path}:{lineno}: duplicate triple {line!r} within split")
+        seen.add(line)
+        h, r, t = fields
+        triples.append((entities.intern(h), relations.intern(r), entities.intern(t)))
     return np.asarray(triples, dtype=np.int64).reshape(-1, 3)
 
 
@@ -143,6 +151,11 @@ def ingest_dataset(train_path, valid_path, test_path) -> KnowledgeGraph:
     return KnowledgeGraph(entities, relations, train, valid, test, report=report)
 
 
+def inverse_triples(triples: np.ndarray, n_raw: int) -> np.ndarray:
+    """The inverse (t, r + n_raw, h) of each raw triple (h, r, t), in triple order."""
+    return triples[:, [2, 1, 0]] + [0, n_raw, 0]
+
+
 def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
     """Add one inverse train triple (t, r_inv, h) per original (h, r, t).
 
@@ -159,12 +172,10 @@ def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
             raise DataError(f"inverse name collision: {inv!r} already exists")
         relations.intern(inv)
 
-    inverse = kg.train[:, [2, 1, 0]]
-    inverse[:, 1] += n_r
     return KnowledgeGraph(
         kg.entities,
         relations,
-        np.concatenate([kg.train, inverse]),
+        np.concatenate([kg.train, inverse_triples(kg.train, n_r)]),
         kg.valid,
         kg.test,
         augmented=True,
@@ -239,6 +250,13 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
             os.unlink(tmp)
 
 
+def read_exact(fh, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of ``fh``; if the file is shorter, a DataError before any read."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"truncated {what}")
+    return fh.read(n)
+
+
 def _unicode_array(strings: list[str]) -> np.ndarray:
     array = np.asarray(strings, dtype=str)
     # a fixed-width unicode array drops trailing NULs, which would merge distinct surfaces
@@ -269,8 +287,8 @@ def save_kg(kg: KnowledgeGraph, path) -> None:
 def load_kg(path) -> KnowledgeGraph:
     """Reads a ``save_kg`` file without unpickling anything.
 
-    A damaged or incomplete file, one holding pickled object arrays, or one
-    whose triples name an id outside the vocabularies is a DataError.
+    A damaged or incomplete file, a bare ``.npy`` array, a file holding pickled
+    object arrays, or one whose triples name an id outside the vocabularies is a DataError.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is damaged
@@ -286,7 +304,7 @@ def load_kg(path) -> KnowledgeGraph:
                 num_raw_relations=None if num_raw < 0 else num_raw,
                 report=json.loads(str(z["report"][0])),
             )
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"damaged or pickled knowledge graph file {path} "
                         f"(re-run ingest): {exc}") from None
     for name in ("train", "valid", "test"):

@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, augment_inverse,
-                     query_answers)
+                     query_answers, read_exact)
 
 HEAD_QUERY = 0  # (?, r, t): anchor is the tail
 TAIL_QUERY = 1  # (h, r, ?): anchor is the head
@@ -111,6 +111,12 @@ def check_cutoff(M: int) -> None:
         raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
 
 
+def check_threshold(threshold: float) -> None:
+    """The one rule for the edge threshold I: finite and non-negative."""
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ContractError(f"threshold I must be finite and non-negative, got {threshold}")
+
+
 def pm(M: int, answer_set_size):
     """Pairwise proximity contributed by one query with the given answer-set size(s).
 
@@ -160,8 +166,7 @@ def accumulate_spm(index: QAPairIndex, M: int) -> SPMMatrix:
 
 def build_proximity_graph(spm: SPMMatrix, threshold: float, n_entities: int) -> ProximityGraph:
     """Connect an undirected edge wherever the accumulated value strictly exceeds the threshold."""
-    if threshold < 0:
-        raise ContractError(f"threshold must be non-negative, got {threshold}")
+    check_threshold(threshold)
     return ProximityGraph(n_entities, threshold, spm.M, spm.records[spm.records["w"] > threshold])
 
 
@@ -200,11 +205,9 @@ def load_proximity_graph(path) -> ProximityGraph:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
-            raise ContractError(f"not a proximity-graph file: bad magic {magic!r}")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise DataError(f"truncated proximity-graph header in {path}")
-        version, n_entities, threshold, M, n_edges = _HEADER.unpack(header)
+            raise ContractError(f"not a proximity-graph file: {path} (bad magic {magic!r})")
+        version, n_entities, threshold, M, n_edges = _HEADER.unpack(
+            read_exact(fh, _HEADER.size, f"proximity-graph header in {path}"))
         if version != _VERSION:
             raise ContractError(f"unsupported proximity-graph version {version}")
         payload = fh.read()

@@ -109,11 +109,6 @@ def clustered_kg(rng: np.random.Generator, n_clusters: int = 7, cluster_size: in
     return _make_kg(train, valid, test, entities, relations)
 
 
-def toy_kg(rng: np.random.Generator, n_entities: int = 8, n_relations: int = 3,
-           n_train: int = 20) -> KnowledgeGraph:
-    return random_kg(rng, n_entities, n_relations, n_train)
-
-
 def write_kg_files(kg: KnowledgeGraph, directory) -> tuple[str, str, str]:
     """Dump the splits as the standard tab-separated files."""
     import os

@@ -27,9 +27,9 @@ from .decoder import (DecoderConfig, bce_loss, conve_score, decoder_param_shapes
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode,
                       encoder_param_shapes, init_encoder_params)
 from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, query_answers,
-                     sample_edge_dropout)
+                     read_exact, sample_edge_dropout)
 from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph, check_cutoff,
-                        extract_qa_pairs)
+                        check_threshold, extract_qa_pairs)
 
 GRID_BATCH_SIZES = (256, 512, 1024)
 GRID_LEARNING_RATES = (1e-4, 3e-4, 5e-3)
@@ -111,8 +111,7 @@ def proximity_settings(settings: dict) -> tuple[int, float]:
     """The answer-set cutoff M (> 2) and the finite edge threshold I (>= 0) of a run."""
     M, I = int(settings.get("M", 50)), float(settings.get("I", 1.0))
     check_cutoff(M)
-    if not (np.isfinite(I) and I >= 0):
-        raise ContractError(f"threshold I must be finite and non-negative, got {I}")
+    check_threshold(I)
     return M, I
 
 
@@ -249,27 +248,31 @@ def save_checkpoint(path, params: dict, optimizer, encoder_config, decoder_confi
             fh.write(np.ascontiguousarray(blobs[spec["name"]], dtype=np.float64).tobytes())
 
 
+def _blob_spec_ok(spec) -> bool:
+    return (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in spec["shape"]))
+
+
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Returns (header, blobs). A file cut short or otherwise damaged is a DataError."""
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
-            raise ContractError("not a checkpoint file")
-        head = fh.read(_CKPT_HEAD.size)
-        if len(head) != _CKPT_HEAD.size:
-            raise DataError(f"truncated checkpoint header in {path}")
-        version, hlen = _CKPT_HEAD.unpack(head)
+            raise ContractError(f"not a checkpoint file: {path}")
+        version, hlen = _CKPT_HEAD.unpack(
+            read_exact(fh, _CKPT_HEAD.size, f"checkpoint header in {path}"))
         if not 1 <= version <= _CKPT_VERSION:
             raise ContractError(f"unsupported checkpoint version {version}")
-        raw = fh.read(hlen)
-        if len(raw) != hlen:
-            raise DataError(f"truncated checkpoint header in {path}")
+        raw = read_exact(fh, hlen, f"checkpoint header in {path}")
         try:
             header = json.loads(raw.decode())
         except ValueError as exc:
             raise DataError(f"damaged checkpoint header in {path}: {exc}") from None
-        if not isinstance(header, dict) or not all(key in header for key in _CKPT_KEYS):
-            raise DataError(f"damaged checkpoint header in {path}: "
-                            f"not an object holding {', '.join(_CKPT_KEYS)}")
+        if not (isinstance(header, dict) and all(key in header for key in _CKPT_KEYS)
+                and all(isinstance(header[k], dict) for k in _CKPT_KEYS if k.endswith("_config"))
+                and isinstance(header["blobs"], list) and all(map(_blob_spec_ok, header["blobs"]))):
+            raise DataError(f"damaged checkpoint header in {path}: not an object holding "
+                            f"{', '.join(_CKPT_KEYS)}, with object configs and named blob shapes")
         header["encoder_config"].pop("allow_any_depth", None)
         header["train_config"].pop("allow_off_grid", None)
         decoder = header["decoder_config"]
@@ -281,10 +284,8 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         blobs = {}
         for spec in header["blobs"]:
             shape = tuple(spec["shape"])
-            nbytes = 8 * int(np.prod(shape))
-            data = fh.read(nbytes)
-            if len(data) != nbytes:
-                raise DataError(f"truncated checkpoint blob {spec['name']!r} in {path}")
+            data = read_exact(fh, 8 * int(np.prod(shape, dtype=object)),    # exact, no int64 wrap
+                              f"checkpoint blob {spec['name']!r} in {path}")
             blobs[spec["name"]] = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
         if fh.read(1):
             raise DataError(f"trailing bytes after the last checkpoint blob in {path}")
@@ -299,6 +300,8 @@ class Trainer:
                  train_config: TrainConfig):
         if encoder_config.dim != decoder_config.dim:
             raise ContractError("encoder and decoder dims differ")
+        if pgraph is None and not encoder_config.kg_only:
+            raise ContractError("proximity adjacency required unless kg_only is set")
         self.queries, self.answer_lists = train_query_table(kg)    # checks kg is augmented
         self.kg = kg
         self.encoder_config = encoder_config
@@ -372,8 +375,9 @@ class Trainer:
                 if log_fh:
                     log_fh.write(json.dumps(record) + "\n")
                 if not quiet:
+                    valid = record["valid_mrr"]
                     print(f"epoch {record['epoch']}: loss={train_loss:.4f}"
-                          + (f" valid_mrr={record['valid_mrr']:.4f}" if record["valid_mrr"] else ""))
+                          + ("" if valid is None else f" valid_mrr={valid:.4f}"))
             if checkpoint_path and self.best_valid_mrr is None:    # no validated best to keep
                 self.save(checkpoint_path)
         finally:

@@ -23,7 +23,7 @@ from proxkg.encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacen
 from proxkg.evaluation import NTYPE_LABELS, evaluate, ntype_mrr_breakdown, ntype_report
 from proxkg.kgdata import augment_inverse, ingest_dataset
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
-from proxkg.synth import clustered_kg, random_kg, toy_kg
+from proxkg.synth import clustered_kg, random_kg
 from proxkg.training import TrainConfig, Trainer
 
 from test_autodiff import check_gradient, finite_diff
@@ -159,7 +159,7 @@ def test_criterion_4_gradient_suite():
     check_gradient(lambda x: ad.bce_with_logits(x, answers, eps / 4), [logits])
 
     # full encoder + decoder loss on a toy instance (n_e = 6, d = 4)
-    kg = augment_inverse(toy_kg(rng, n_entities=6, n_relations=2, n_train=12))
+    kg = augment_inverse(random_kg(rng, n_entities=6, n_relations=2, n_train=12))
     enc_cfg = EncoderConfig(dim=4, kg_layers=1, prox_layers=1, weight_scheme="attention")
     dec_cfg = DecoderConfig(dim=4, n_filters=3, kernel=2, dropout_input=0.0,
                             dropout_feature=0.0, dropout_hidden=0.0)
@@ -218,7 +218,7 @@ def test_criterion_5_ranking_oracle():
 
 def test_criterion_6_encoder_identities():
     rng = np.random.default_rng(88)
-    kg = augment_inverse(toy_kg(rng, n_entities=10, n_relations=3, n_train=24))
+    kg = augment_inverse(random_kg(rng, n_entities=10, n_relations=3, n_train=24))
     config = EncoderConfig(dim=6, kg_layers=2, prox_layers=2, weight_scheme="attention")
     params = init_encoder_params(config, kg.n_entities, kg.n_relations, rng)
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 8),
@@ -251,7 +251,7 @@ def test_criterion_6_encoder_identities():
 def test_criterion_7_overfit_sanity():
     start = time.monotonic()
     rng = np.random.default_rng(0)
-    kg = augment_inverse(toy_kg(rng, n_entities=8, n_relations=3, n_train=20))
+    kg = augment_inverse(random_kg(rng, n_entities=8, n_relations=3, n_train=20))
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 10),
                                    0.0, kg.n_entities)
     enc = EncoderConfig(dim=32, kg_layers=1, prox_layers=1, weight_scheme="attention")

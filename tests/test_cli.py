@@ -1,5 +1,10 @@
+import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,22 +14,26 @@ from proxkg.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, coerce, ma
 from proxkg.decoder import DecoderConfig
 from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError, load_kg, save_kg
-from proxkg.synth import clustered_kg, toy_kg, write_kg_files
+from proxkg.synth import clustered_kg, random_kg, write_kg_files
 from proxkg.training import TrainConfig, load_checkpoint
 from conftest import rewrite_checkpoint, write_triples
 
 
-@pytest.fixture
-def dataset_dir(tmp_path, rng):
-    kg = toy_kg(rng, 8, 3, 20)
+def write_dataset(data, rng):
+    """Write a toy graph's three split files into ``data``, a new directory."""
+    kg = random_kg(rng, 8, 3, 20)
     # carve a couple of train triples into valid/test so every split is non-empty
-    data = tmp_path / "data"
     data.mkdir()
     kg.valid = kg.train[-4:-2]
     kg.test = kg.train[-2:]
     kg.train = kg.train[:-4]
     write_kg_files(kg, data)
     return data
+
+
+@pytest.fixture
+def dataset_dir(tmp_path, rng):
+    return write_dataset(tmp_path / "data", rng)
 
 
 def run(args):
@@ -327,7 +336,12 @@ def test_cli_grid_starts_from_run_M_and_I(built_dir):
     lambda header: [1, 2],
     lambda header: {key: value for key, value in header.items() if key != "blobs"},
     lambda header: {**header, "encoder_config": {**header["encoder_config"], "bogus": 1}},
-], ids=["empty", "list", "no_blobs", "unknown_config_field"])
+    lambda header: {**header, "encoder_config": None},
+    lambda header: {**header, "blobs": [{"name": spec["name"]} for spec in header["blobs"]]},
+    lambda header: {**header, "train_config": []},
+    lambda header: {**header, "blobs": [{"name": "kg_W0", "shape": [2 ** 32, 2 ** 32]}]},
+], ids=["empty", "list", "no_blobs", "unknown_config_field", "null_config", "blob_without_shape",
+        "list_config", "blob_size_past_int64"])
 def test_cli_damaged_checkpoint_header_is_data_error(built_dir, damage):
     args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
     assert run(["train"] + args) == EXIT_OK
@@ -392,3 +406,66 @@ def test_cli_out_of_range_id_in_kg_is_data_error(built_dir, command, column, val
     kg.train[0, column] = getattr(kg, value) if isinstance(value, str) else value
     save_kg(kg, path)
     assert run([command, "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def trained_dir(tmp_path_factory):
+    """Split files and an out_dir whose artifacts every subcommand reads without error."""
+    root = tmp_path_factory.mktemp("trained")
+    data, out = write_dataset(root / "data", np.random.default_rng(1234)), root / "out"
+    splits = [arg for key in ("train", "valid", "test")
+              for arg in ("--set", f"{key}_path={data}/{key}.txt")]
+    assert run(["ingest", "--set", f"out_dir={out}"] + splits) == EXIT_OK
+    base = ["--set", f"out_dir={out}"] + TINY_TRAIN
+    for command in ("build-proximity", "train", "evaluate", "ntype"):
+        assert run([command] + base) == EXIT_OK
+    assert run(["grid", "--set", "grid.seed=1"] + base) == EXIT_OK
+    return out, splits
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+# the artifacts each subcommand reads, by config key ("config" being the --config file)
+READS = {"ingest": ("config", "train_path", "valid_path", "test_path"),
+         "build-proximity": ("config", "kg_path"),
+         "train": ("config", "kg_path", "pgraph_path"),
+         "evaluate": ("config", "kg_path", "pgraph_path", "checkpoint_path"),
+         "ntype": ("config", "kg_path", "pgraph_path", "checkpoint_path"),
+         "grid": ("config", "kg_path")}
+DAMAGE = {"missing": lambda path: None,
+          "directory": lambda path: path.mkdir(),
+          "garbage": lambda path: path.write_text("garbage\n"),
+          "not_utf8": lambda path: path.write_bytes(b"\xff\xfe\x80 \xc3\x28\n"),
+          "npy_array": lambda path: path.write_bytes(npy_bytes(np.arange(3.0)))}
+# ntype scores a checkpoint only when there is one, so a missing one is no error
+SWEEP = [(command, key, damage) for command, keys in READS.items() for key in keys
+         for damage in DAMAGE if (command, key, damage) != ("ntype", "checkpoint_path", "missing")]
+
+
+@pytest.mark.parametrize("command, key, damage", SWEEP)
+def test_cli_unreadable_artifact_is_a_clean_error(tmp_path, trained_dir, capsys, command, key,
+                                                  damage):
+    out, splits = trained_dir
+    path = tmp_path / "artifact"
+    DAMAGE[damage](path)
+    args = [command, "--set", f"out_dir={out}"] + TINY_TRAIN
+    args += {"ingest": splits, "grid": ["--set", "grid.seed=1"]}.get(command, [])
+    args += ["--config", path] if key == "config" else ["--set", f"{key}={path}"]
+    capsys.readouterr()
+    assert run(args) in (EXIT_CONFIG, EXIT_DATA)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(path) in err
+
+
+def test_cli_directory_as_kg_path_exits_3_without_traceback(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "proxkg.cli", "build-proximity",
+                           "--set", f"kg_path={tmp_path}"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == EXIT_DATA
+    assert "Traceback" not in done.stderr and str(tmp_path) in done.stderr

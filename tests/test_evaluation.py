@@ -11,7 +11,7 @@ from proxkg.evaluation import (NTYPE_LABELS, build_filter_index, evaluate,
                                ntype_report, score_all_queries)
 from proxkg.kgdata import ContractError, answer_rows, augment_inverse, query_answers
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
-from proxkg.synth import random_kg, toy_kg
+from proxkg.synth import random_kg
 from conftest import kg_from_triples
 
 
@@ -163,7 +163,7 @@ def test_filter_index_covers_all_splits():
 
 
 def test_evaluate_perfect_model(rng):
-    kg = augment_inverse(toy_kg(rng, 8, 3, 20))
+    kg = augment_inverse(random_kg(rng, 8, 3, 20))
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
 
     # hand-built scorer: patch batch_scorer with a perfect scorer
@@ -277,7 +277,7 @@ def test_evaluate_model_scores_match_per_case_oracle():
 
 
 def test_evaluation_records_no_autodiff_graph(rng, monkeypatch):
-    kg = augment_inverse(toy_kg(rng, 8, 3, 15))
+    kg = augment_inverse(random_kg(rng, 8, 3, 15))
     enc = EncoderConfig(dim=8, kg_only=True)
     dec = DecoderConfig(dim=8, n_filters=4, kernel=2)
     params = init_encoder_params(enc, kg.n_entities, kg.n_relations, rng)
@@ -331,14 +331,14 @@ def test_ntype_report_empty_test():
 
 
 def test_ntype_partition_counts(rng):
-    kg = augment_inverse(toy_kg(rng, 10, 2, 20))
+    kg = augment_inverse(random_kg(rng, 10, 2, 20))
     # move some triples into test by rebuilding
     report = ntype_report(kg, "train")
     assert report["total"] == 2 * len(kg.raw_train())
 
 
 def test_ntype_breakdown_single_range_equals_overall(rng):
-    kg = augment_inverse(toy_kg(rng, 8, 3, 15))
+    kg = augment_inverse(random_kg(rng, 8, 3, 15))
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
     enc = EncoderConfig(dim=8)
     dec = DecoderConfig(dim=8, n_filters=4, kernel=2)

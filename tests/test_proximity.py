@@ -191,6 +191,13 @@ def test_build_graph_threshold_strict():
     assert build_proximity_graph(SPMMatrix(spm_records({(0, 1): 0.5}), 4), 0.5, 2).n_edges == 0
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+def test_build_graph_rejects_threshold_outside_finite_range(threshold):
+    spm = SPMMatrix(spm_records({(0, 1): 1.5}), M=4)
+    with pytest.raises(ContractError, match="threshold I"):
+        build_proximity_graph(spm, threshold, 2)
+
+
 def test_build_graph_empty():
     assert build_proximity_graph(SPMMatrix(spm_records({}), 4), 0.0, 5).n_edges == 0
 

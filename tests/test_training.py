@@ -10,7 +10,7 @@ from proxkg.decoder import DecoderConfig
 from proxkg.encoder import COMPOSITIONS, WEIGHT_SCHEMES, EncoderConfig
 from proxkg.kgdata import ContractError, DataError, augment_inverse
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
-from proxkg.synth import random_kg, toy_kg
+from proxkg.synth import random_kg
 from proxkg import training
 from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
                              build_batches, config_digest, grid_search,
@@ -31,7 +31,7 @@ def validated_kg(seed=3):
 
 
 def toy_pipeline(rng, kg_only=False, **train_kw):
-    kg = augment_inverse(toy_kg(rng, 8, 3, 20))
+    kg = augment_inverse(random_kg(rng, 8, 3, 20))
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
     enc, dec, trn = make_configs({**TOY_SETTINGS, "kg_only": kg_only, **train_kw})
     return kg, pgraph, enc, dec, trn
@@ -370,6 +370,14 @@ def test_checkpoint_truncated_is_data_error(tmp_path, checkpoint_bytes, cut):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_length_past_the_end_is_data_error(tmp_path, checkpoint_bytes):
+    """A damaged length field is checked against the file before any read allocates it."""
+    path = tmp_path / "long_header.bin"
+    path.write_bytes(checkpoint_bytes[:8] + struct.pack("<Q", 2 ** 40) + checkpoint_bytes[16:])
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_trailing_bytes_is_data_error(tmp_path, checkpoint_bytes):
     path = tmp_path / "long.bin"
     path.write_bytes(checkpoint_bytes + b"\x00")
@@ -478,7 +486,7 @@ GRID_SETTINGS = {**TOY_SETTINGS, "epochs": 1}
 
 def test_grid_search_single_and_seeds(rng):
     kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1)
-    kg2 = kg  # has valid? toy_kg has no valid; use train-only grid with nan mrr
+    kg2 = kg  # has valid? the toy graph has no valid split; use train-only grid with nan mrr
     result = grid_search(kg2, {"M": [4]}, GRID_SETTINGS)
     assert len(result["trials"]) == 1
     assert result["complete"]
@@ -504,6 +512,21 @@ def test_grid_search_rejects_budget_below_one(rng, budget):
 def test_proximity_settings_rejects_threshold_outside_finite_range(I):
     with pytest.raises(ContractError, match="threshold I"):
         training.proximity_settings({"M": 4, "I": I})
+
+
+def test_trainer_without_proximity_graph_needs_kg_only(rng):
+    kg, _, enc, dec, trn = toy_pipeline(rng)
+    with pytest.raises(ContractError, match="kg_only"):
+        Trainer(kg, None, enc, dec, trn)
+
+
+def test_train_prints_a_zero_valid_mrr(rng, monkeypatch, capsys):
+    kg, pg, enc, dec, trn = toy_pipeline(rng, epochs=1, eval_every=1)
+    kg.valid = kg.raw_train()[:2]      # a validation split, so the epoch is validated
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    monkeypatch.setattr(trainer, "valid_mrr", lambda: 0.0)
+    trainer.train(quiet=False)
+    assert "valid_mrr=0.0000" in capsys.readouterr().out
 
 
 def test_grid_search_rejects_key_it_does_not_vary(rng):
