@@ -187,7 +187,7 @@ def _checkpoint_setup(cfg, kg):
     params, enc, dec = checkpoint_model(header, blobs)
     pgraph = _load_pgraph(cfg, kg, enc)
     prox = None if pgraph is None else ProximityAdjacency(pgraph)
-    return params, enc, dec, prox, provenance(header["train_config"]["seed"],
+    return params, enc, dec, prox, provenance(header["train_config"].seed,
                                               header["config_digest"])
 
 

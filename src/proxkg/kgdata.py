@@ -250,11 +250,14 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
             os.unlink(tmp)
 
 
-def read_exact(fh, n: int, what: str) -> bytes:
-    """The next ``n`` bytes of ``fh``; if the file is shorter, a DataError before any read."""
+def read_exact(fh, n: int, what: str) -> bytearray:
+    """The next ``n`` bytes of ``fh``, read into a new writable buffer; if the file is
+    shorter, a DataError before any read."""
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataError(f"truncated {what}")
-    return fh.read(n)
+    buf = bytearray(n)
+    fh.readinto(buf)
+    return buf
 
 
 def _unicode_array(strings: list[str]) -> np.ndarray:

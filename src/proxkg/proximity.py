@@ -210,6 +210,11 @@ def load_proximity_graph(path) -> ProximityGraph:
             read_exact(fh, _HEADER.size, f"proximity-graph header in {path}"))
         if version != _VERSION:
             raise ContractError(f"unsupported proximity-graph version {version}")
+        try:
+            check_threshold(threshold)
+            check_cutoff(M)
+        except ContractError as exc:
+            raise DataError(f"proximity-graph file {path}: {exc}") from None
         payload = fh.read()
     if len(payload) != n_edges * EDGE_DTYPE.itemsize:
         raise DataError(f"proximity-graph file {path} declares {n_edges} edges "

@@ -22,7 +22,7 @@ from scipy import sparse
 from . import autodiff as ad
 from . import evaluation
 from .autodiff import Tensor
-from .decoder import (DecoderConfig, bce_loss, conve_score, decoder_param_shapes, default_reshape,
+from .decoder import (DecoderConfig, bce_loss, conve_score, decoder_param_shapes,
                       init_decoder_params)
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode,
                       encoder_param_shapes, init_encoder_params)
@@ -83,6 +83,11 @@ class TrainConfig:
             raise ContractError(f"eval_every must be non-negative, got {self.eval_every}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ContractError("label_smoothing must be in [0,1)")
+
+
+# a checkpoint header's config entries, and the configs they build
+_CKPT_CONFIGS = {"encoder_config": EncoderConfig, "decoder_config": DecoderConfig,
+                 "train_config": TrainConfig}
 
 
 def make_configs(settings: dict) -> tuple[EncoderConfig, DecoderConfig, TrainConfig]:
@@ -168,8 +173,8 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
 
     def step(self):
         """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p -= lr m_hat / (sqrt(v_hat) + eps).
@@ -221,41 +226,21 @@ def config_digest(encoder_config, decoder_config, train_config) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def save_checkpoint(path, params: dict, optimizer, encoder_config, decoder_config,
-                    train_config, rng: np.random.Generator, epoch: int,
-                    global_step: int, best_valid_mrr: float | None) -> None:
-    """Versioned binary container: JSON header plus named float64 blobs."""
-    blobs = {name: p.data for name, p in params.items()}
-    blobs.update(optimizer.state_blobs())
-    header = {
-        "config_digest": config_digest(encoder_config, decoder_config, train_config),
-        "encoder_config": asdict(encoder_config),
-        "decoder_config": asdict(decoder_config),
-        "train_config": asdict(train_config),
-        "optimizer": {"kind": optimizer.kind, "lr": optimizer.lr, "t": optimizer.t},
-        "rng_state": rng.bit_generator.state,
-        "epoch": epoch,
-        "global_step": global_step,
-        "best_valid_mrr": best_valid_mrr,
-        "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
-    }
-    raw = json.dumps(header).encode()
-    with atomic_write(path) as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(_CKPT_HEAD.pack(_CKPT_VERSION, len(raw)))
-        fh.write(raw)
-        for spec in header["blobs"]:
-            fh.write(np.ascontiguousarray(blobs[spec["name"]], dtype=np.float64).tobytes())
+def _count_ok(n) -> bool:
+    return type(n) is int and n >= 0
 
 
 def _blob_spec_ok(spec) -> bool:
     return (isinstance(spec, dict) and isinstance(spec.get("name"), str)
-            and isinstance(spec.get("shape"), list)
-            and all(type(n) is int and n >= 0 for n in spec["shape"]))
+            and isinstance(spec.get("shape"), list) and all(map(_count_ok, spec["shape"])))
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns (header, blobs). A file cut short or otherwise damaged is a DataError."""
+    """Returns (header, blobs), the header's ``*_config`` entries built as configs.
+
+    A file cut short or otherwise damaged, a config field the configs do not
+    know included, is a DataError. Each blob is read into the array that holds it.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise ContractError(f"not a checkpoint file: {path}")
@@ -269,24 +254,37 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         except ValueError as exc:
             raise DataError(f"damaged checkpoint header in {path}: {exc}") from None
         if not (isinstance(header, dict) and all(key in header for key in _CKPT_KEYS)
-                and all(isinstance(header[k], dict) for k in _CKPT_KEYS if k.endswith("_config"))
+                and all(isinstance(header[k], dict) for k in _CKPT_CONFIGS)
                 and isinstance(header["blobs"], list) and all(map(_blob_spec_ok, header["blobs"]))):
             raise DataError(f"damaged checkpoint header in {path}: not an object holding "
                             f"{', '.join(_CKPT_KEYS)}, with object configs and named blob shapes")
+        opt, mrr = header["optimizer"], header["best_valid_mrr"]
+        for name, ok in (("epoch", _count_ok(header["epoch"])),
+                         ("global_step", _count_ok(header["global_step"])),
+                         ("optimizer", isinstance(opt, dict) and _count_ok(opt.get("t"))),
+                         ("best_valid_mrr", mrr is None or type(mrr) in (int, float))):
+            if not ok:
+                raise DataError(f"damaged checkpoint header in {path}: bad {name} {header[name]!r}")
         header["encoder_config"].pop("allow_any_depth", None)
         header["train_config"].pop("allow_off_grid", None)
         decoder = header["decoder_config"]
         decoder.pop("label_smoothing", None)
         stored = decoder.pop("reshape_h", None), decoder.pop("reshape_w", None)
-        if stored != (None, None) and stored != default_reshape(decoder["dim"]):
-            raise ContractError(f"checkpoint decoder reshape {stored} is not default_reshape("
-                                f"{decoder['dim']}), so its fc_W cannot fit the decoder")
+        try:
+            header.update({key: cls(**header[key]) for key, cls in _CKPT_CONFIGS.items()})
+        except TypeError as exc:
+            raise DataError(f"damaged checkpoint config in {path}: {exc}") from None
+        dec = header["decoder_config"]
+        if stored != (None, None) and stored != (dec.reshape_h, dec.reshape_w):
+            raise ContractError(f"checkpoint decoder reshape {stored} is not the default "
+                                f"{dec.reshape_h, dec.reshape_w} of dim {dec.dim}, so its fc_W "
+                                "cannot fit the decoder")
         blobs = {}
         for spec in header["blobs"]:
             shape = tuple(spec["shape"])
             data = read_exact(fh, 8 * int(np.prod(shape, dtype=object)),    # exact, no int64 wrap
                               f"checkpoint blob {spec['name']!r} in {path}")
-            blobs[spec["name"]] = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
+            blobs[spec["name"]] = np.frombuffer(data, dtype=np.float64).reshape(shape)
         if fh.read(1):
             raise DataError(f"trailing bytes after the last checkpoint blob in {path}")
     return header, blobs
@@ -386,33 +384,44 @@ class Trainer:
         return log
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.params, self.optimizer, self.encoder_config,
-                        self.decoder_config, self.train_config, self.rng,
-                        self.epoch, self.global_step, self.best_valid_mrr)
+        """Versioned binary container: a JSON header, then each float64 blob from its buffer."""
+        configs = self.encoder_config, self.decoder_config, self.train_config
+        blobs = {name: p.data for name, p in self.params.items()}
+        blobs.update(self.optimizer.state_blobs())
+        header = {
+            "config_digest": config_digest(*configs),
+            **{key: asdict(cfg) for key, cfg in zip(_CKPT_CONFIGS, configs)},
+            "optimizer": {"kind": self.optimizer.kind, "lr": self.optimizer.lr,
+                          "t": self.optimizer.t},
+            "rng_state": self.rng.bit_generator.state,
+            "epoch": self.epoch,
+            "global_step": self.global_step,
+            "best_valid_mrr": self.best_valid_mrr,
+            "blobs": [{"name": k, "shape": list(v.shape)} for k, v in blobs.items()],
+        }
+        raw = json.dumps(header).encode()
+        with atomic_write(path) as fh:
+            fh.write(_CKPT_MAGIC + _CKPT_HEAD.pack(_CKPT_VERSION, len(raw)) + raw)
+            for blob in blobs.values():
+                fh.write(np.ascontiguousarray(blob, dtype=np.float64))
 
     @classmethod
     def restore(cls, path, kg: KnowledgeGraph, pgraph: ProximityGraph | None) -> "Trainer":
         """Rebuild a trainer whose next step is bit-identical to the saved run's."""
         header, blobs = load_checkpoint(path)
         check_checkpoint(header, blobs, kg)
-        trainer = cls(kg, pgraph, *_checkpoint_configs(header))
+        trainer = cls(kg, pgraph, *(header[key] for key in _CKPT_CONFIGS))
         for name, p in trainer.params.items():
             p.data = blobs[name]
         trainer.optimizer.load_state(header["optimizer"], blobs)
-        trainer.rng.bit_generator.state = header["rng_state"]
+        try:
+            trainer.rng.bit_generator.state = header["rng_state"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"damaged checkpoint rng_state in {path}: {exc}") from None
         trainer.epoch = header["epoch"]
         trainer.global_step = header["global_step"]
         trainer.best_valid_mrr = header["best_valid_mrr"]
         return trainer
-
-
-def _checkpoint_configs(header: dict) -> tuple[EncoderConfig, DecoderConfig, TrainConfig]:
-    """The configs a loaded checkpoint header stores; a field they do not know is a DataError."""
-    try:
-        return (EncoderConfig(**header["encoder_config"]),
-                DecoderConfig(**header["decoder_config"]), TrainConfig(**header["train_config"]))
-    except TypeError as exc:
-        raise DataError(f"damaged checkpoint config: {exc}") from None
 
 
 def check_checkpoint(header: dict, blobs: dict, kg: KnowledgeGraph) -> None:
@@ -421,7 +430,7 @@ def check_checkpoint(header: dict, blobs: dict, kg: KnowledgeGraph) -> None:
     A missing blob is a DataError, one of another shape a ContractError. The
     shapes come from the configs, so no parameter is allocated to check them.
     """
-    enc, dec, trn = _checkpoint_configs(header)
+    enc, dec, trn = (header[key] for key in _CKPT_CONFIGS)
     shapes = {**encoder_param_shapes(enc, kg.n_entities, kg.n_relations),
               **decoder_param_shapes(dec, kg.n_entities)}
     if trn.optimizer == "adam":
@@ -439,8 +448,7 @@ def checkpoint_model(header: dict, blobs: dict) -> tuple[dict, EncoderConfig, De
     """Parameter tensors and model configs of a loaded checkpoint, for evaluation."""
     params = {spec["name"]: Tensor(blobs[spec["name"]])
               for spec in header["blobs"] if not spec["name"].startswith("opt.")}
-    enc, dec, _ = _checkpoint_configs(header)
-    return params, enc, dec
+    return params, header["encoder_config"], header["decoder_config"]
 
 
 def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,

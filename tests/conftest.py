@@ -42,6 +42,31 @@ def rewrite_checkpoint(path, blobs):
                      + b"".join(np.asarray(blob, np.float64).tobytes() for blob in blobs.values()))
 
 
+def rewrite_checkpoint_header(path, edit, version=None):
+    """Rewrite the checkpoint at ``path`` with ``edit(header)`` as its JSON header, stored as
+    ``version`` if one is given; its blobs are kept."""
+    data = path.read_bytes()
+    end = 16 + int.from_bytes(data[8:16], "little")
+    raw = json.dumps(edit(json.loads(data[16:end]))).encode()
+    head = data[:8] if version is None else data[:4] + struct.pack("<I", version)
+    path.write_bytes(head + struct.pack("<Q", len(raw)) + raw + data[end:])
+
+
+# version-2 decoder configs no save wrote, each storing the reshape (2, 4): with no dim, a
+# text dim and a negative one
+LEGACY_DECODERS = {
+    "no_dim": lambda dec: {k: v for k, v in dec.items() if k != "dim"},
+    "text_dim": lambda dec: {**dec, "dim": "x"},
+    "negative_dim": lambda dec: {**dec, "dim": -4},
+}
+
+
+def legacy_decoder_header(case):
+    """A header edit for ``rewrite_checkpoint_header``: the ``LEGACY_DECODERS`` case's decoder."""
+    return lambda header: {**header, "decoder_config": {
+        **LEGACY_DECODERS[case](header["decoder_config"]), "reshape_h": 2, "reshape_w": 4}}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -16,7 +16,8 @@ from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError, load_kg, save_kg
 from proxkg.synth import clustered_kg, random_kg, write_kg_files
 from proxkg.training import TrainConfig, load_checkpoint
-from conftest import rewrite_checkpoint, write_triples
+from conftest import (LEGACY_DECODERS, legacy_decoder_header, rewrite_checkpoint,
+                      rewrite_checkpoint_header, write_triples)
 
 
 def write_dataset(data, rng):
@@ -345,11 +346,7 @@ def test_cli_grid_starts_from_run_M_and_I(built_dir):
 def test_cli_damaged_checkpoint_header_is_data_error(built_dir, damage):
     args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
     assert run(["train"] + args) == EXIT_OK
-    ckpt = built_dir / "checkpoint.bin"
-    blob = ckpt.read_bytes()
-    end = 16 + int.from_bytes(blob[8:16], "little")
-    raw = json.dumps(damage(json.loads(blob[16:end]))).encode()
-    ckpt.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[end:])
+    rewrite_checkpoint_header(built_dir / "checkpoint.bin", damage)
     assert run(["evaluate"] + args) == EXIT_DATA
 
 
@@ -395,6 +392,27 @@ def test_cli_nan_proximity_weight_is_data_error(built_dir, capsys):
     path.write_bytes(data[:52] + struct.pack("<d", float("nan")) + data[60:])
     assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold, M", [(float("nan"), 4), (1.0, 2)], ids=["I_nan", "M_2"])
+def test_cli_proximity_header_a_build_cannot_write_is_data_error(built_dir, capsys, threshold, M):
+    path = built_dir / "proximity_graph.bin"
+    n_entities = load_kg(built_dir / "kg.npz").n_entities
+    path.write_bytes(b"PXGR" + struct.pack("<IQdIQ", 1, n_entities, threshold, M, 0))
+    capsys.readouterr()
+    assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(path) in err
+
+
+@pytest.mark.parametrize("case", sorted(LEGACY_DECODERS))
+def test_cli_legacy_decoder_header_is_a_clean_error(built_dir, capsys, case):
+    args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
+    assert run(["train"] + args) == EXIT_OK
+    rewrite_checkpoint_header(built_dir / "checkpoint.bin", legacy_decoder_header(case), version=2)
+    capsys.readouterr()
+    assert run(["evaluate"] + args) in (EXIT_CONFIG, EXIT_DATA)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["build-proximity", "train"])

@@ -347,6 +347,17 @@ def test_load_rejects_records_a_save_cannot_write(tmp_path, records):
         load_proximity_graph(path)
 
 
+@pytest.mark.parametrize("threshold, M", [(float("nan"), 4), (float("inf"), 4), (-3.0, 4),
+                                          (1.0, 2), (1.0, 0)],
+                         ids=["I_nan", "I_inf", "I_negative", "M_2", "M_0"])
+def test_load_rejects_a_header_a_build_cannot_write(tmp_path, threshold, M):
+    """The header's I and M obey the rules that build a graph, even with no record to test."""
+    path = tmp_path / "graph.bin"
+    path.write_bytes(b"PXGR" + struct.pack("<IQdIQ", 1, 3, threshold, M, 0))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_proximity_graph(path)
+
+
 def test_answer_ids_past_int32_pair_keys_stay_exact():
     """Pair key i * n + j reaches 2.5e9 here, past int32, however SciPy holds the answers."""
     n = 50_000

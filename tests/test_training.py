@@ -1,6 +1,6 @@
 import dataclasses
-import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +15,9 @@ from proxkg import training
 from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
                              build_batches, config_digest, grid_search,
                              checkpoint_model, load_checkpoint, make_configs,
-                             save_checkpoint, train_query_table, write_trial_table)
-from conftest import kg_from_triples, rewrite_checkpoint
+                             train_query_table, write_trial_table)
+from conftest import (kg_from_triples, legacy_decoder_header, rewrite_checkpoint,
+                      rewrite_checkpoint_header)
 
 # flat run settings of the toy model, as the CLI would pass them
 TOY_SETTINGS = dict(dim=8, kg_layers=1, prox_layers=1, n_filters=4, kernel=2,
@@ -388,17 +389,16 @@ def test_checkpoint_trailing_bytes_is_data_error(tmp_path, checkpoint_bytes):
 def older_checkpoint(tmp_path, trainer, version, **stored):
     """The trainer's checkpoint, rewritten as ``version`` with extra stored config fields,
     given per header section (``decoder_config={...}``)."""
-    path = tmp_path / "current.bin"
+    path = tmp_path / f"v{version}.bin"
     trainer.save(path)
-    blob = path.read_bytes()
-    end = _json_header_end(blob)
-    header = json.loads(blob[16:end])
-    for section, extra in stored.items():
-        header[section].update(extra)
-    raw = json.dumps(header).encode()
-    old = tmp_path / f"v{version}.bin"
-    old.write_bytes(b"PKCK" + struct.pack("<IQ", version, len(raw)) + raw + blob[end:])
-    return old
+
+    def add_fields(header):
+        for section, extra in stored.items():
+            header[section].update(extra)
+        return header
+
+    rewrite_checkpoint_header(path, add_fields, version)
+    return path
 
 
 # what versions 1-3 store beyond today's fields: every one the two grid permission flags,
@@ -437,6 +437,69 @@ def test_checkpoint_version_2_other_reshape_is_contract_error(tmp_path):
                           decoder_config={"reshape_h": 1, "reshape_w": 8})
     with pytest.raises(ContractError):
         load_checkpoint(v2)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("no_dim", ContractError),          # the default dim's reshape is not the stored one
+    ("text_dim", DataError),
+    ("negative_dim", ContractError),
+])
+def test_checkpoint_legacy_decoder_header_is_a_clean_error(tmp_path, case, error):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    path = tmp_path / "v2.bin"
+    Trainer(kg, pg, enc, dec, trn).save(path)
+    rewrite_checkpoint_header(path, legacy_decoder_header(case), version=2)
+    with pytest.raises(error):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("epoch", "x"), ("global_step", -1), ("optimizer", {}),
+                                          ("best_valid_mrr", "x"), ("rng_state", {})],
+                         ids=["epoch", "global_step", "optimizer", "best_valid_mrr", "rng_state"])
+def test_restore_rejects_damaged_state(tmp_path, field, value):
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
+    path = tmp_path / "ckpt.bin"
+    Trainer(kg, pg, enc, dec, trn).save(path)
+    rewrite_checkpoint_header(path, lambda header: {**header, field: value})
+    with pytest.raises(DataError, match=field):
+        Trainer.restore(path, kg, pg)
+
+
+@pytest.fixture
+def wide_trainer():
+    """A 3,000-entity, d=64 Adam trainer: its blobs dwarf the rest of its checkpoint."""
+    kg = augment_inverse(random_kg(np.random.default_rng(7), 3000, 3, 6000))
+    enc, dec, trn = make_configs({**TOY_SETTINGS, "dim": 64, "kg_only": True})
+    return Trainer(kg, None, enc, dec, trn)
+
+
+def traced_peak(fn):
+    """``fn()`` and the most memory tracemalloc saw allocated during it, over what was before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_copies_no_blob(tmp_path, wide_trainer):
+    path = tmp_path / "ckpt.bin"
+    _, peak = traced_peak(lambda: wide_trainer.save(path))
+    largest = max(p.data.nbytes for p in wide_trainer.params.values())
+    assert peak < largest
+
+
+def test_checkpoint_load_reads_each_blob_once(tmp_path, wide_trainer):
+    path = tmp_path / "ckpt.bin"
+    wide_trainer.save(path)
+    (_, blobs), peak = traced_peak(lambda: load_checkpoint(path))
+    total = sum(blob.nbytes for blob in blobs.values())
+    assert total > 0.9 * path.stat().st_size
+    assert peak <= 1.05 * total
+    assert all(blob.flags.writeable for blob in blobs.values())
 
 
 def test_restored_run_keeps_best_checkpoint(tmp_path):
