@@ -7,8 +7,13 @@ order and accumulates gradients into every ``requires_grad`` leaf.
 
 Broadcasting is restricted to the numpy trailing-dimension rule; anything
 the model does not need is rejected early. Message passing runs on two edge
-ops, ``edge_sum`` (an SpMM with a ``scipy.sparse`` CSR matrix) and
-``edge_dot`` (an SDDMM in fixed-size edge chunks), each the other's backward.
+ops over a message given as terms, a list of (table, ids) pairs whose rows
+sum to each edge's message: ``edge_sum`` (one SpMM per term, with CSR
+matrices built by ``_csr`` straight from the edge arrays) and ``edge_dot``
+(an SDDMM that gathers the anchor rows once per block of edges for all the
+terms), each the other's backward. Any edge order is correct; edges sorted
+by destination, as ``encoder.RelationalAdjacency`` keeps them, are the fast
+case.
 """
 
 from __future__ import annotations
@@ -327,11 +332,15 @@ def dropout(a: Tensor, rate: float, seed: int, layer_id: int, step: int, trainin
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, ((layer_id & 0xFFFFFFFF) << 32) | (step & 0xFFFFFFFF)],
                    dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    out = a.data * mask
+    keep = rng.random(a.data.shape) >= rate     # one byte per cell
+    factor = 1.0 / (1.0 - rate)
+    out = a.data * factor
+    out *= keep
 
     def bw(g):
-        return [(a, g * mask)]
+        grad = g * factor
+        grad *= keep
+        return [(a, grad)]
 
     return _make(out, (a,), bw)
 
@@ -343,77 +352,135 @@ def _row_ids(ids, n: int) -> np.ndarray:
     return ids
 
 
+def _csr(values, rows, cols, shape) -> sparse.csr_array:
+    """The CSR array holding values[k] at (rows[k], cols[k]), duplicate cells kept apart.
+
+    indptr is the running sum of a bincount of rows, so neither SciPy's COO
+    conversion nor its per-row column sort runs; rows out of order are first
+    put in order by a stable argsort. Each row keeps its entries in edge order.
+    """
+    rows = np.asarray(rows)
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        values, rows, cols = values[order], rows[order], cols[order]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_array((values, cols, indptr), shape=shape)
+
+
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Row lookup; the backward is A^T @ g with the CSR matrix A holding 1 at (k, ids[k]).
 
-    As in edge_sum, each row sums its gradients in index order, bit for bit as np.add.at.
+    Each table row sums its gradients in index order, bit for bit as np.add.at.
     """
     n = table.data.shape[0]
     ids = _row_ids(ids, n)
     out = table.data[ids]
 
     def bw(g):
-        A = sparse.csr_array((np.ones(len(ids)), (np.arange(len(ids)), ids)), shape=(len(ids), n))
+        A = _csr(np.ones(len(ids)), np.arange(len(ids)), ids, (len(ids), n))
         rows = g.reshape(len(ids), int(np.prod(table.data.shape[1:])))
         return [(table, (A.T @ rows).reshape(table.data.shape))]
 
     return _make(out, (table,), bw)
 
 
-EDGE_CHUNK = 1024   # edges per block of _row_dots: two [EDGE_CHUNK, d] float64 row blocks,
-                    # 1024 x d x 8 bytes each, so 1.6 MB at d=200 and 4 MB at d=500
+ROW_BLOCK_BYTES = 2 ** 19   # each of _row_dots' two gathered [rows, d] float64 blocks: 512 KiB,
+                            # so both stay in a 1 MiB or larger L2 cache (327 rows at d=200)
 
 
-def _row_dots(a, ia, b, ib) -> np.ndarray:
-    """out[k] = <a[ia[k]], b[ib[k]]>, gathering EDGE_CHUNK row pairs at a time."""
-    out = np.empty(len(ia), dtype=DEFAULT_DTYPE)
-    for s in range(0, len(ia), EDGE_CHUNK):
-        block = slice(s, s + EDGE_CHUNK)
-        out[block] = np.einsum("ij,ij->i", a[ia[block]], b[ib[block]])
+def _row_dots(a, ia, terms) -> np.ndarray:
+    """out[k] = <a[ia[k]], b[ib[k]]> summed over the (b, ib) pairs of terms, term by term.
+
+    A block of edges at a time, the a rows are gathered once into one
+    preallocated block and each term's rows in turn into the other. The ids
+    are already range-checked, so np.take clips nothing and writes in place.
+    """
+    n, d = len(ia), a.shape[1]
+    size = max(1, min(n, ROW_BLOCK_BYTES // (8 * max(d, 1))))
+    rows_a, rows_b = np.empty((size, d)), np.empty((size, d))
+    out, dots = np.empty(n, dtype=DEFAULT_DTYPE), np.empty(size)
+    for s in range(0, n, size):
+        block, m = slice(s, s + size), min(size, n - s)
+        np.take(a, ia[block], axis=0, out=rows_a[:m], mode="clip")
+        for t, (b, ib) in enumerate(terms):
+            np.take(b, ib[block], axis=0, out=rows_b[:m], mode="clip")
+            dot = np.einsum("ij,ij->i", rows_a[:m], rows_b[:m], out=dots[:m] if t else out[block])
+            if t:
+                out[block] += dot
     return out
 
 
-def edge_sum(weights: Tensor, dst, src, x: Tensor, n: int) -> Tensor:
-    """out[i] = sum of weights[k] * x[src[k]] over the edges k with dst[k] = i.
+def _products_sum(mats, tables) -> np.ndarray:
+    """The sum of the sparse-dense products mats[t] @ tables[t], in term order."""
+    out = mats[0] @ tables[0]
+    for A, table in zip(mats[1:], tables[1:]):
+        out += A @ table
+    return out
 
-    An SpMM with the [n, len(x)] CSR matrix A holding weights[k] at
-    (dst[k], src[k]), which sums duplicate pairs. The backward is A^T @ g for
-    x and, only when the weights need a gradient, the per-edge row dot
-    <g[dst[k]], x[src[k]]> (an SDDMM, see edge_dot).
+
+def _edge_terms(terms, n_edges: int, op: str, width: int | None = None) -> list:
+    """terms with range-checked ids: 2-d tables of one width (``width`` if given), one id per edge."""
+    if not terms:
+        raise ValueError(f"{op} expects at least one (table, ids) term")
+    shape = terms[0][0].data.shape[1:] if width is None else (width,)
+    checked = []
+    for table, ids in terms:
+        if table.data.ndim != 2 or table.data.shape[1:] != shape:
+            raise ValueError(f"{op} expects 2-d tables of one width, got {table.data.shape}")
+        ids = _row_ids(ids, table.data.shape[0])
+        if ids.shape != (n_edges,):
+            raise ValueError(f"{op} expects one row id of each table per edge")
+        checked.append((table, ids))
+    return checked
+
+
+def edge_sum(weights: Tensor, dst, terms, n: int) -> Tensor:
+    """out[i] = sum of weights[k] * message[k] over the edges k with dst[k] = i,
+    message[k] being the sum of table[ids[k]] over the (table, ids) terms.
+
+    One SpMM per term with the [n, len(table)] CSR matrix holding weights[k]
+    at (dst[k], ids[k]). The backward is A^T @ g for each table and, only
+    when the weights need a gradient, the per-edge row dot <g[dst[k]],
+    message[k]> (an SDDMM, see edge_dot).
     """
-    if x.data.ndim != 2:
-        raise ValueError("edge_sum expects a 2-d table")
-    dst, src = _row_ids(dst, n), _row_ids(src, x.data.shape[0])
-    if weights.data.shape != dst.shape or src.shape != dst.shape:
-        raise ValueError("edge_sum expects one weight, dst and src per edge")
-    A = sparse.csr_array((weights.data, (dst, src)), shape=(n, x.data.shape[0]))
-    out = A @ x.data
+    dst = _row_ids(dst, n)
+    if weights.data.shape != dst.shape:
+        raise ValueError("edge_sum expects one weight per edge")
+    terms = _edge_terms(terms, len(dst), "edge_sum")
+    tables = [table for table, _ in terms]
+    mats = [_csr(weights.data, dst, ids, (n, table.data.shape[0])) for table, ids in terms]
+    out = _products_sum(mats, [table.data for table in tables])
 
     def bw(g):
-        g_weights = _row_dots(g, dst, x.data, src) if _needs_grad(weights) else None
-        return [(x, A.T @ g), (weights, g_weights)]
+        g_weights = None
+        if _needs_grad(weights):
+            g_weights = _row_dots(g, dst, [(table.data, ids) for table, ids in terms])
+        return [(table, A.T @ g) for A, table in zip(mats, tables)] + [(weights, g_weights)]
 
-    return _make(out, (x, weights), bw)
+    return _make(out, tuple(tables) + (weights,), bw)
 
 
-def edge_dot(a: Tensor, ia, b: Tensor, ib) -> Tensor:
-    """out[k] = <a[ia[k]], b[ib[k]]>: an SDDMM, computed EDGE_CHUNK edges at a time.
+def edge_dot(a: Tensor, ia, terms) -> Tensor:
+    """out[k] = <a[ia[k]], message[k]>, message[k] being the sum of table[ids[k]] over the
+    (table, ids) terms: an SDDMM that gathers a's rows once per block of edges.
 
-    The backward is the two SpMMs S @ b and S^T @ a (see edge_sum), with the
-    [len(a), len(b)] CSR matrix S holding g[k] at (ia[k], ib[k]).
+    The backward is the SpMMs S @ table and S^T @ a per term (see edge_sum),
+    with the [len(a), len(table)] CSR matrix S holding g[k] at (ia[k], ids[k]).
     """
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise ValueError("edge_dot expects two 2-d tables of the same width")
-    ia, ib = _row_ids(ia, a.data.shape[0]), _row_ids(ib, b.data.shape[0])
-    if ia.shape != ib.shape:
-        raise ValueError("edge_dot expects one row id of each table per edge")
-    out = _row_dots(a.data, ia, b.data, ib)
+    if a.data.ndim != 2:
+        raise ValueError("edge_dot expects a 2-d anchor table")
+    ia = _row_ids(ia, a.data.shape[0])
+    terms = _edge_terms(terms, len(ia), "edge_dot", a.data.shape[1])
+    tables = [table for table, _ in terms]
+    out = _row_dots(a.data, ia, [(table.data, ids) for table, ids in terms])
 
     def bw(g):
-        S = sparse.csr_array((g, (ia, ib)), shape=(a.data.shape[0], b.data.shape[0]))
-        return [(a, S @ b.data), (b, S.T @ a.data)]
+        mats = [_csr(g, ia, ids, (a.data.shape[0], table.data.shape[0])) for table, ids in terms]
+        g_a = _products_sum(mats, [table.data for table in tables])
+        return [(a, g_a)] + [(table, S.T @ a.data) for S, table in zip(mats, tables)]
 
-    return _make(out, (a, b), bw)
+    return _make(out, (a,) + tuple(tables), bw)
 
 
 def segment_weighted_sum(values: Tensor, weights: Tensor, segments, num_segments: int) -> Tensor:
@@ -422,7 +489,7 @@ def segment_weighted_sum(values: Tensor, weights: Tensor, segments, num_segments
     The edge_sum of one edge per value row. Nothing in proxkg calls it; it
     stays because perfbench/spans.py traces it by name.
     """
-    return edge_sum(weights, segments, np.arange(values.data.shape[0]), values, num_segments)
+    return edge_sum(weights, segments, [(values, np.arange(values.data.shape[0]))], num_segments)
 
 
 def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
@@ -449,9 +516,11 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     inp: [B, C_in, H, W], filters: [C_out, C_in, k, k] -> [B, C_out, H-k+1, W-k+1].
     The forward is one batched GEMM, filters [C_out, C_in*k*k] times the
     [B, C_in*k*k, oh*ow] columns of the window view, so the output is
-    C-contiguous and flattens per row without a copy. The backward is the
-    adjoint of the window map: each window's gradient, g contracted with the
-    filters, is added back onto the k x k input cells it covers.
+    C-contiguous and flattens per row without a copy. The backward mirrors
+    it with two GEMMs: the filter gradient is g [B, C_out, oh*ow] contracted
+    with those columns over the batch and the positions, and the column
+    gradient filters^T @ g is added back onto the k x k input cells each
+    window covers (the adjoint of the window map).
     """
     if inp.data.ndim != 4 or filters.data.ndim != 4:
         raise ValueError("conv2d expects 4-d input and filters")
@@ -464,14 +533,16 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(inp.data, (kh, kw), axis=(2, 3))
     oh, ow = windows.shape[2:4]
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(B, C_in * kh * kw, oh * ow)
-    out = np.matmul(filters.data.reshape(C_out, C_in * kh * kw), cols).reshape(B, C_out, oh, ow)
+    flat_filters = filters.data.reshape(C_out, C_in * kh * kw)
+    out = np.matmul(flat_filters, cols).reshape(B, C_out, oh, ow)
 
     def bw(g):
-        g_filters = np.einsum("bchwij,bohw->ocij", windows, g, optimize=True)
-        g_windows = np.einsum("bohw,ocij->bchwij", g, filters.data, optimize=True)
+        g = g.reshape(B, C_out, oh * ow)
+        g_filters = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(filters.data.shape)
+        g_cols = np.matmul(flat_filters.T, g).reshape(B, C_in, kh, kw, oh, ow)
         g_inp = np.zeros_like(inp.data)
         for i, j in np.ndindex(kh, kw):
-            g_inp[:, :, i:i + oh, j:j + ow] += g_windows[..., i, j]
+            g_inp[:, :, i:i + oh, j:j + ow] += g_cols[:, :, i, j]
         return [(inp, g_inp), (filters, g_filters)]
 
     return _make(out, (inp, filters), bw)

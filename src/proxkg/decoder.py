@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .encoder import check_dim
 from .kgdata import ContractError
 
 # layer ids for the counter-based dropout streams
@@ -45,8 +46,7 @@ class DecoderConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.dim <= 0:
-            raise ContractError(f"embedding dim must be positive, got {self.dim}")
+        check_dim(self.dim)
         if self.kernel < 1 or self.n_filters < 1:
             raise ContractError(
                 f"kernel and n_filters must be at least 1, got {self.kernel} and {self.n_filters}")

@@ -10,7 +10,6 @@ entirely while leaving the relation path unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +21,13 @@ from .proximity import ProximityGraph
 
 COMPOSITIONS = ("additive", "multiplicative", "mlp")
 WEIGHT_SCHEMES = ("prior", "gcn", "attention")
+MAX_DIM = 2 ** 20     # widest embedding a config accepts; the paper's widths are 200 to 1000
+
+
+def check_dim(dim: int) -> None:
+    """Reject an embedding width outside [1, MAX_DIM], before the decoder's reshape search on it."""
+    if not 0 < dim <= MAX_DIM:
+        raise ContractError(f"embedding dim must be in [1, {MAX_DIM}], got {dim}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,7 @@ class EncoderConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.dim <= 0:
-            raise ContractError(f"embedding dim must be positive, got {self.dim}")
+        check_dim(self.dim)
         if self.composition not in COMPOSITIONS:
             raise ContractError(f"unknown composition {self.composition!r}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
@@ -48,17 +53,20 @@ class EncoderConfig:
 
 
 class RelationalAdjacency:
-    """Edge arrays (src, rel, dst) of the active message-passing graph.
+    """Edge arrays (src, rel, dst) of the active message-passing graph, sorted by dst.
 
-    An edge (h, r, t) delivers the composed (h, r) message to t. Degrees
-    are counted over the active edge set; ``relational_weights`` floors them
-    at 1 so its formulas never divide by zero (zero-degree nodes receive no
-    messages anyway).
+    An edge (h, r, t) delivers the composed (h, r) message to t. The kept
+    edges are ordered by destination with a stable sort, so the edge ops'
+    CSR rows need no sort and each destination's rows are gathered as one
+    run. Degrees are counted over the active edge set; ``relational_weights``
+    floors them at 1 so its formulas never divide by zero (zero-degree nodes
+    receive no messages anyway).
     """
 
     def __init__(self, triples: np.ndarray, keep: np.ndarray | None = None, n_entities: int = 0):
         if keep is not None:
             triples = triples[keep]
+        triples = triples[np.argsort(triples[:, 2], kind="stable")]
         self.src = triples[:, 0].astype(np.int64)
         self.rel = triples[:, 1].astype(np.int64)
         self.dst = triples[:, 2].astype(np.int64)
@@ -111,8 +119,7 @@ def relational_weights(adj: RelationalAdjacency, e_current: Tensor,
     if scheme == "gcn":
         return Tensor(1.0 / np.sqrt(np.maximum(adj.in_deg[adj.dst], 1.0) * np.maximum(adj.out_deg[adj.src], 1.0)))
     if scheme == "attention":
-        scores = reduce(ad.add, [ad.edge_dot(e_current, adj.dst, table, ids) for table, ids in terms])
-        return ad.segment_softmax(scores, adj.dst, adj.n_entities)
+        return ad.segment_softmax(ad.edge_dot(e_current, adj.dst, terms), adj.dst, adj.n_entities)
     raise ContractError(f"unknown weight scheme {scheme!r}")
 
 
@@ -121,8 +128,7 @@ def gr_layer(entities: Tensor, relations: Tensor, adj: RelationalAdjacency,
     """One relation-aware layer: weighted composed-neighbor sum, transform, tanh, residual."""
     terms = messages(entities, relations, adj, config, params)
     alpha = relational_weights(adj, entities, terms, config.weight_scheme)
-    n = reduce(ad.add, [ad.edge_sum(alpha, adj.dst, ids, table, adj.n_entities)
-                        for table, ids in terms])
+    n = ad.edge_sum(alpha, adj.dst, terms, adj.n_entities)
     return ad.add(ad.tanh(ad.matmul(n, W)), entities)
 
 
@@ -149,7 +155,7 @@ class ProximityAdjacency:
 
 def gp_layer(entities: Tensor, prox: ProximityAdjacency, W: Tensor) -> Tensor:
     """One proximity layer: fixed-softmax neighbor average, transform, tanh, residual."""
-    n = ad.edge_sum(Tensor(prox.alpha), prox.dst, prox.src, entities, prox.n_entities)
+    n = ad.edge_sum(Tensor(prox.alpha), prox.dst, [(entities, prox.src)], prox.n_entities)
     return ad.add(ad.tanh(ad.matmul(n, W)), entities)
 
 

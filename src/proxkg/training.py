@@ -291,11 +291,15 @@ def load_checkpoint(path) -> tuple[dict, dict]:
 
 
 class Trainer:
-    """Owns parameters, optimizer, RNG stream, and the batch loop."""
+    """Owns parameters, optimizer, RNG stream, and the batch loop.
+
+    ``params``, if given, are the parameter tensors to train instead of a
+    fresh initialisation (``restore`` passes a checkpoint's).
+    """
 
     def __init__(self, kg: KnowledgeGraph, pgraph: ProximityGraph | None,
                  encoder_config: EncoderConfig, decoder_config: DecoderConfig,
-                 train_config: TrainConfig):
+                 train_config: TrainConfig, params: dict | None = None):
         if encoder_config.dim != decoder_config.dim:
             raise ContractError("encoder and decoder dims differ")
         if pgraph is None and not encoder_config.kg_only:
@@ -307,8 +311,10 @@ class Trainer:
         self.train_config = train_config
         self.prox = None if encoder_config.kg_only else ProximityAdjacency(pgraph)
         self.rng = np.random.Generator(np.random.PCG64(train_config.seed))
-        self.params = init_encoder_params(encoder_config, kg.n_entities, kg.n_relations, self.rng)
-        self.params.update(init_decoder_params(decoder_config, kg.n_entities, self.rng))
+        if params is None:
+            params = init_encoder_params(encoder_config, kg.n_entities, kg.n_relations, self.rng)
+            params.update(init_decoder_params(decoder_config, kg.n_entities, self.rng))
+        self.params = params
         self.optimizer = _make_optimizer(train_config.optimizer, self.params, train_config.learning_rate)
         self.epoch = 0
         self.global_step = 0
@@ -409,10 +415,9 @@ class Trainer:
     def restore(cls, path, kg: KnowledgeGraph, pgraph: ProximityGraph | None) -> "Trainer":
         """Rebuild a trainer whose next step is bit-identical to the saved run's."""
         header, blobs = load_checkpoint(path)
-        check_checkpoint(header, blobs, kg)
-        trainer = cls(kg, pgraph, *(header[key] for key in _CKPT_CONFIGS))
-        for name, p in trainer.params.items():
-            p.data = blobs[name]
+        names = check_checkpoint(header, blobs, kg)
+        params = {name: Tensor(blobs[name], requires_grad=True) for name in names}
+        trainer = cls(kg, pgraph, *(header[key] for key in _CKPT_CONFIGS), params=params)
         trainer.optimizer.load_state(header["optimizer"], blobs)
         try:
             trainer.rng.bit_generator.state = header["rng_state"]
@@ -424,17 +429,19 @@ class Trainer:
         return trainer
 
 
-def check_checkpoint(header: dict, blobs: dict, kg: KnowledgeGraph) -> None:
+def check_checkpoint(header: dict, blobs: dict, kg: KnowledgeGraph) -> list[str]:
     """Every blob a loaded checkpoint's configs and ``kg``'s sizes imply is there, at its shape.
 
     A missing blob is a DataError, one of another shape a ContractError. The
     shapes come from the configs, so no parameter is allocated to check them.
+    Returns the model parameters' names, in initialisation order.
     """
     enc, dec, trn = (header[key] for key in _CKPT_CONFIGS)
-    shapes = {**encoder_param_shapes(enc, kg.n_entities, kg.n_relations),
-              **decoder_param_shapes(dec, kg.n_entities)}
+    model = {**encoder_param_shapes(enc, kg.n_entities, kg.n_relations),
+             **decoder_param_shapes(dec, kg.n_entities)}
+    shapes = dict(model)
     if trn.optimizer == "adam":
-        shapes.update({f"opt.{k}.{name}": shape for name, shape in shapes.items() for k in "mv"})
+        shapes.update({f"opt.{k}.{name}": shape for name, shape in model.items() for k in "mv"})
     for name, shape in shapes.items():
         if name not in blobs:
             raise DataError(f"checkpoint has no {name!r} blob")
@@ -442,6 +449,7 @@ def check_checkpoint(header: dict, blobs: dict, kg: KnowledgeGraph) -> None:
         if got != shape:
             raise ContractError(f"checkpoint {name} has shape {got} ({got[0] if got else 0} rows), "
                                 f"this knowledge graph's model {shape}")
+    return list(model)
 
 
 def checkpoint_model(header: dict, blobs: dict) -> tuple[dict, EncoderConfig, DecoderConfig]:

@@ -127,14 +127,24 @@ def test_criterion_4_gradient_suite():
         check_gradient(op, [A])
     check_gradient(ad.relu, [np.where(np.abs(A) < 1e-3, 0.5, A)])
     check_gradient(lambda t: ad.gather_rows(t, [0, 2, 2, 1]), [A])
-    check_gradient(lambda t, o: ad.mul(ad.edge_dot(t, [2, 0, 2], o, [1, 1, 0]),
+    check_gradient(lambda t, o: ad.mul(ad.edge_dot(t, [2, 0, 2], [(o, [1, 1, 0])]),
                                        Tensor(np.arange(1.0, 4.0))), [A, B])
     edge_rng = np.random.default_rng(32)           # leaves rng's draws below as they were
     mix = Tensor(edge_rng.uniform(-1, 1, (2, 4)))
-    check_gradient(lambda w, x: ad.mul(ad.edge_sum(w, [0, 1, 1], [2, 0, 2], x, 2), mix),
+    check_gradient(lambda w, x: ad.mul(ad.edge_sum(w, [0, 1, 1], [(x, [2, 0, 2])], 2), mix),
                    [edge_rng.uniform(-1, 1, 3), A])
     w_const = Tensor(edge_rng.uniform(-1, 1, 3))
-    check_gradient(lambda x: ad.mul(ad.edge_sum(w_const, [0, 1, 1], [2, 0, 2], x, 2), mix), [A])
+    check_gradient(lambda x: ad.mul(ad.edge_sum(w_const, [0, 1, 1], [(x, [2, 0, 2])], 2), mix), [A])
+    # two-term messages e[src] + r[rel] whose entity table is also the anchor, as in gr_layer
+    two_rng = np.random.default_rng(35)            # leaves rng's draws below as they were
+    R2, mix3 = two_rng.uniform(-1, 1, (2, 4)), Tensor(two_rng.uniform(-1, 1, (3, 4)))
+    dst, terms = [2, 0, 2, 1], lambda e, r: [(e, [1, 1, 0, 2]), (r, [0, 1, 1, 0])]
+    check_gradient(lambda e, r: ad.mul(ad.edge_dot(e, dst, terms(e, r)), Tensor(np.arange(1.0, 5.0))),
+                   [A, R2])
+    check_gradient(lambda w, e, r: ad.mul(ad.edge_sum(w, dst, terms(e, r), 3), mix3),
+                   [two_rng.uniform(-1, 1, 4), A, R2])
+    check_gradient(lambda e, r: ad.mul(ad.edge_sum(ad.edge_dot(e, dst, terms(e, r)), dst, terms(e, r), 3),
+                                       mix3), [A, R2])
     check_gradient(lambda v, w: ad.segment_weighted_sum(v, w, [0, 1, 1], 2),
                    [A, rng.uniform(-1, 1, 3)])
     check_gradient(lambda s: ad.mul(ad.segment_softmax(s, [0, 0, 1], 2),

@@ -145,16 +145,17 @@ def test_edge_dot_values(rng):
     a = rng.uniform(-1, 1, (4, 3))
     b = rng.uniform(-1, 1, (5, 3))
     ia, ib = [3, 0, 3, 1, 2], [4, 4, 0, 1, 2]
-    out = ad.edge_dot(Tensor(a), ia, Tensor(b), ib)
+    out = ad.edge_dot(Tensor(a), ia, [(Tensor(b), ib)])
     assert np.allclose(out.data, (a[ia] * b[ib]).sum(axis=1), rtol=1e-15, atol=1e-15)
 
 
 def test_edge_dot_chunks_do_not_change_values(rng, monkeypatch):
-    a = rng.uniform(-1, 1, (6, 4))
-    ia, ib = rng.integers(0, 6, 11), rng.integers(0, 6, 11)
-    whole = ad.edge_dot(Tensor(a), ia, Tensor(a), ib).data
-    monkeypatch.setattr(ad, "EDGE_CHUNK", 3)
-    assert np.array_equal(ad.edge_dot(Tensor(a), ia, Tensor(a), ib).data, whole)
+    a, b = rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (2, 4))
+    ia, ib, ic = rng.integers(0, 6, 11), rng.integers(0, 6, 11), rng.integers(0, 2, 11)
+    terms = [(Tensor(a), ib), (Tensor(b), ic)]
+    whole = ad.edge_dot(Tensor(a), ia, terms).data
+    monkeypatch.setattr(ad, "ROW_BLOCK_BYTES", 3 * 4 * 8)      # blocks of 3 rows of width 4
+    assert np.array_equal(ad.edge_dot(Tensor(a), ia, terms).data, whole)
 
 
 def test_edge_dot_gradient(rng):
@@ -162,22 +163,22 @@ def test_edge_dot_gradient(rng):
     b = rng.uniform(-1, 1, (5, 3))
     ia, ib = [3, 0, 3, 1, 3], [0, 2, 0, 4, 1]      # the pair (3, 0) twice
     weights = Tensor(np.arange(1.0, 6.0))          # break symmetry
-    check_gradient(lambda x, y: ad.mul(ad.edge_dot(x, ia, y, ib), weights), [a, b])
+    check_gradient(lambda x, y: ad.mul(ad.edge_dot(x, ia, [(y, ib)]), weights), [a, b])
     # one table on both sides
-    check_gradient(lambda x: ad.mul(ad.edge_dot(x, [0, 1, 2], x, [1, 1, 3]), Tensor(weights.data[:3])),
+    check_gradient(lambda x: ad.mul(ad.edge_dot(x, [0, 1, 2], [(x, [1, 1, 3])]), Tensor(weights.data[:3])),
                    [a])
 
 
 def test_edge_dot_out_of_range():
     for ia, ib in (([2], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])):
         with pytest.raises(IndexError):
-            ad.edge_dot(Tensor(np.ones((2, 2))), ia, Tensor(np.ones((3, 2))), ib)
+            ad.edge_dot(Tensor(np.ones((2, 2))), ia, [(Tensor(np.ones((3, 2))), ib)])
 
 
 def test_edge_dot_empty(rng):
     a = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-    out = ad.edge_dot(a, [], b, [])
+    out = ad.edge_dot(a, [], [(b, [])])
     assert out.shape == (0,)
     ad.add(ad.tsum(out), ad.tsum(a)).backward()
     assert np.array_equal(a.grad, np.ones((4, 3)))
@@ -196,8 +197,8 @@ def test_edge_sum_duplicate_pairs(rng):
     for k, (d, s) in enumerate(zip(EDGE_DST, EDGE_SRC)):
         want[d] += w[k] * x[s]
         want_x[s] += w[k] * g[d]
-    live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST, EDGE_SRC,
-                       Tensor(x, requires_grad=True), 4)
+    live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST,
+                       [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
     assert np.allclose(live.data, want, rtol=1e-14, atol=1e-15)
     (_, x_grad), (_, w_grad) = live._backward(g)
     assert np.allclose(x_grad, want_x, rtol=1e-14, atol=1e-15)
@@ -210,11 +211,11 @@ def test_edge_sum_constant_weights(rng):
     x = rng.uniform(-1, 1, (4, 3))
     w = rng.uniform(-1, 1, 6)
     g = rng.uniform(-1, 1, (4, 3))
-    const = ad.edge_sum(Tensor(w), EDGE_DST, EDGE_SRC, Tensor(x, requires_grad=True), 4)
+    const = ad.edge_sum(Tensor(w), EDGE_DST, [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
     (_, x_grad), (_, w_grad) = const._backward(g)
     assert w_grad is None
-    live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST, EDGE_SRC,
-                       Tensor(x, requires_grad=True), 4)
+    live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST,
+                       [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
     assert np.array_equal(x_grad, live._backward(g)[0][1])
 
 
@@ -222,22 +223,22 @@ def test_edge_sum_gradient(rng):
     x = rng.uniform(-1, 1, (4, 3))
     w = rng.uniform(-1, 1, 6)
     mix = Tensor(rng.uniform(-1, 1, (5, 3)))       # break symmetry; row 4 gets no edge
-    check_gradient(lambda wt, xt: ad.mul(ad.edge_sum(wt, EDGE_DST, EDGE_SRC, xt, 5), mix), [w, x])
-    check_gradient(lambda xt: ad.mul(ad.edge_sum(Tensor(w), EDGE_DST, EDGE_SRC, xt, 5), mix), [x])
+    check_gradient(lambda wt, xt: ad.mul(ad.edge_sum(wt, EDGE_DST, [(xt, EDGE_SRC)], 5), mix), [w, x])
+    check_gradient(lambda xt: ad.mul(ad.edge_sum(Tensor(w), EDGE_DST, [(xt, EDGE_SRC)], 5), mix), [x])
 
 
 def test_edge_sum_out_of_range():
     x = Tensor(np.ones((2, 2)))
-    assert ad.edge_sum(Tensor(np.ones(1)), [2], [1], x, 3).data[2].tolist() == [1.0, 1.0]
+    assert ad.edge_sum(Tensor(np.ones(1)), [2], [(x, [1])], 3).data[2].tolist() == [1.0, 1.0]
     for dst, src in (([3], [0]), ([-1], [0]), ([0], [2]), ([0], [-1])):
         with pytest.raises(IndexError):
-            ad.edge_sum(Tensor(np.ones(1)), dst, src, x, 3)
+            ad.edge_sum(Tensor(np.ones(1)), dst, [(x, src)], 3)
 
 
 def test_edge_sum_empty(rng):
     x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     w = Tensor(np.zeros(0), requires_grad=True)
-    out = ad.edge_sum(w, [], [], x, 3)
+    out = ad.edge_sum(w, [], [(x, [])], 3)
     assert np.array_equal(out.data, np.zeros((3, 3)))
     ad.add(ad.tsum(out), ad.tsum(x)).backward()
     assert np.array_equal(x.grad, np.ones((4, 3)))

@@ -261,6 +261,13 @@ def test_cli_train_rejects_missing_checkpoint_directory(tmp_path, built_dir, cap
     assert not any("epoch" in rec for rec in records)
 
 
+def test_cli_huge_dim_is_config_error(built_dir, capsys):
+    capsys.readouterr()
+    assert run(["train", "--set", f"out_dir={built_dir}"] + TINY_TRAIN
+               + ["--set", f"dim={10 ** 14}"]) == EXIT_CONFIG
+    assert "embedding dim" in capsys.readouterr().err
+
+
 def test_cli_unknown_config_key_is_config_error(built_dir, capsys):
     capsys.readouterr()
     assert run(["build-proximity", "--set", f"out_dir={built_dir}", "--set", "bogus=1"]) \

@@ -5,9 +5,11 @@ import pytest
 from scipy import sparse
 
 import proxkg.autodiff as ad
+from proxkg import decoder
 from proxkg.autodiff import Tensor
 from proxkg.decoder import (DecoderConfig, bce_loss, conve_score, default_reshape,
                             init_decoder_params)
+from proxkg.encoder import MAX_DIM, EncoderConfig
 from proxkg.evaluation import filtered_rank
 from proxkg.kgdata import ContractError
 
@@ -43,6 +45,19 @@ def test_default_reshape_rule():
     assert default_reshape(8) == (2, 4)
     assert default_reshape(16) == (4, 4)
     assert default_reshape(7) == (1, 7)
+
+
+@pytest.mark.parametrize("config", [EncoderConfig, DecoderConfig])
+def test_huge_dim_is_config_error_before_any_reshape_search(config, monkeypatch):
+    def refuse(dim):
+        raise AssertionError(f"reshape searched for dim {dim}")
+
+    monkeypatch.setattr(decoder, "default_reshape", refuse)
+    for dim in (MAX_DIM + 1, 10 ** 14, 10 ** 24):
+        with pytest.raises(ContractError, match="embedding dim"):
+            config(dim=dim)
+    monkeypatch.undo()
+    assert config(dim=MAX_DIM).dim == MAX_DIM
 
 
 def test_shape_arithmetic():

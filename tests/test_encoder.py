@@ -333,6 +333,45 @@ def random_multigraph(rng, n_entities=12, n_linked=9, n_relations=4, n_edges=40)
     return RelationalAdjacency(np.concatenate([triples, repeated]), None, n_entities)
 
 
+def test_relational_adjacency_orders_kept_edges_by_destination(rng):
+    triples = np.column_stack([rng.integers(0, 9, 40), rng.integers(0, 4, 40), rng.integers(0, 9, 40)])
+    keep = rng.uniform(size=40) < 0.7
+    adj = RelationalAdjacency(triples, keep, 9)
+    assert np.all(np.diff(adj.dst) >= 0)
+    kept = triples[keep]        # each destination's edges stay in their input order
+    assert np.array_equal(np.column_stack([adj.src, adj.rel, adj.dst]),
+                          kept[np.argsort(kept[:, 2], kind="stable")])
+
+
+def max_relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("composition", COMPOSITIONS)
+def test_encode_does_not_depend_on_edge_order(rng, composition):
+    """Shuffled triples, and edge arrays put out of destination order after the adjacency
+    sorted them, give encode's output and gradients to 1e-12 relative."""
+    kg, config, params, pgraph, _ = toy_setup(rng, composition)
+    prox = ProximityAdjacency(pgraph)
+    triples = np.concatenate([kg.train, kg.train[:3]])      # some edges twice
+    shuffled = RelationalAdjacency(triples[rng.permutation(len(triples))], None, kg.n_entities)
+    unsorted = RelationalAdjacency(triples, None, kg.n_entities)
+    perm = rng.permutation(unsorted.n_edges)
+    unsorted.src, unsorted.rel, unsorted.dst = unsorted.src[perm], unsorted.rel[perm], unsorted.dst[perm]
+    assert np.any(np.diff(unsorted.dst) < 0)
+
+    def run(adj):
+        return outputs_and_grads(lambda p: encode(p, adj, prox, config)[0], params, 95)
+
+    out, grads = run(RelationalAdjacency(triples, None, kg.n_entities))
+    for adj in (shuffled, unsorted):
+        got, got_grads = run(adj)
+        assert max_relative_error(got, out) < 1e-12
+        assert sorted(got_grads) == sorted(grads)
+        for name, grad in grads.items():
+            assert max_relative_error(got_grads[name], grad) < 1e-12, name
+
+
 @pytest.mark.parametrize("composition", COMPOSITIONS)
 @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
 def test_gr_layer_matches_gather_scatter_reference(rng, composition, scheme):

@@ -270,6 +270,27 @@ def test_checkpoint_round_trip_bitwise(tmp_path, rng):
         assert np.array_equal(p.data, restored.params[k].data), k
 
 
+def test_restore_initialises_no_parameters(tmp_path, monkeypatch):
+    """A restore trains the checkpoint's blobs; it draws no parameter set only to replace it."""
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(11), epochs=1)
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    trainer.train()
+    path = tmp_path / "ckpt.bin"
+    trainer.save(path)
+
+    def refuse(*args):
+        raise AssertionError("parameters initialised during a restore")
+
+    monkeypatch.setattr(training, "init_encoder_params", refuse)
+    monkeypatch.setattr(training, "init_decoder_params", refuse)
+    restored = Trainer.restore(path, kg, pg)
+    assert list(restored.params) == list(trainer.params)
+    assert all(p.requires_grad for p in restored.params.values())
+    assert restored.run_epoch() == trainer.run_epoch()
+    for k, p in trainer.params.items():
+        assert np.array_equal(p.data, restored.params[k].data), k
+
+
 def test_restore_on_another_graph_is_contract_error(tmp_path):
     kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(3), epochs=1)
     path = tmp_path / "ckpt.bin"
