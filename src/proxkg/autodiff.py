@@ -44,10 +44,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-        self._backward_done = False
-
     def backward(self):
         """Accumulate gradients of this scalar into all reachable leaves."""
         if self.data.size != 1:
@@ -319,19 +315,20 @@ def bce_with_logits(logits: Tensor, targets, floor: float = 0.0) -> Tensor:
     return _make(out, (logits,), bw)
 
 
-def dropout(a: Tensor, rate: float, seed: int, layer_id: int, step: int, training: bool) -> Tensor:
-    """Inverted dropout with a counter-based generator.
+def dropout(a: Tensor, rate: float, key: tuple[int, int] | None, layer_id: int) -> Tensor:
+    """Inverted dropout with a counter-based generator, keyed by (seed, step).
 
-    The mask depends only on (seed, layer_id, step), so replays are
-    bit-identical regardless of execution order or thread count.
+    Without a key (evaluation) the op is the identity. The mask depends only on
+    (seed, layer_id, step), so replays are bit-identical regardless of
+    execution order or thread count.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
+    if key is None or rate == 0.0:
         return a
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, ((layer_id & 0xFFFFFFFF) << 32) | (step & 0xFFFFFFFF)],
-                   dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    seed, step = key
+    words = [seed & 0xFFFFFFFFFFFFFFFF, (layer_id & 0xFFFFFFFF) << 32 | (step & 0xFFFFFFFF)]
+    rng = np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64)))
     keep = rng.random(a.data.shape) >= rate     # one byte per cell
     factor = 1.0 / (1.0 - rate)
     out = a.data * factor

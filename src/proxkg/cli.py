@@ -16,6 +16,7 @@ import os
 import sys
 
 from . import __version__
+from .autodiff import Tensor
 from .encoder import ProximityAdjacency
 from .evaluation import evaluate, ntype_mrr_breakdown, ntype_report
 from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, augment_inverse,
@@ -24,8 +25,8 @@ from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
 from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, check_checkpoint,
-                       checkpoint_model, config_digest, grid_search, load_checkpoint,
-                       make_configs, proximity_settings, write_trial_table)
+                       config_digest, grid_search, load_checkpoint, make_configs,
+                       proximity_settings, write_trial_table)
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
@@ -183,8 +184,8 @@ def cmd_train(args) -> int:
 def _checkpoint_setup(cfg, kg):
     """The checkpoint's model and proximity adjacency, and the provenance of what it scores."""
     header, blobs = load_checkpoint(_artifact_path(cfg, "checkpoint_path", "checkpoint.bin"))
-    check_checkpoint(header, blobs, kg)
-    params, enc, dec = checkpoint_model(header, blobs)
+    params = {name: Tensor(blobs[name]) for name in check_checkpoint(header, blobs, kg)}
+    enc, dec = header["encoder_config"], header["decoder_config"]
     pgraph = _load_pgraph(cfg, kg, enc)
     prox = None if pgraph is None else ProximityAdjacency(pgraph)
     return params, enc, dec, prox, provenance(header["train_config"].seed,

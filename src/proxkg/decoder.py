@@ -91,21 +91,23 @@ def init_decoder_params(config: DecoderConfig, n_entities: int, rng: np.random.G
 
 
 def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: dict,
-                config: DecoderConfig, training: bool = False, seed: int = 0,
-                step: int = 0) -> Tensor:
-    """Match a batch of queries against all entities; returns logits [B, n_e]."""
+                config: DecoderConfig, dropout_key: tuple[int, int] | None = None) -> Tensor:
+    """Match a batch of queries against all entities; returns logits [B, n_e].
+
+    Dropout runs only under a ``dropout_key`` (seed, step), which training passes.
+    """
     B = h_embed.shape[0]
     if h_embed.shape[1] != config.dim:
         raise ContractError(f"query dim {h_embed.shape[1]} does not match decoder dim {config.dim}")
     # [h | r] row-major is the anchor map stacked above the relation map
     x = ad.reshape(ad.concat([h_embed, r_embed], axis=1),
                    (B, 1, 2 * config.reshape_h, config.reshape_w))
-    x = ad.dropout(x, config.dropout_input, seed, _DROP_INPUT, step, training)
+    x = ad.dropout(x, config.dropout_input, dropout_key, _DROP_INPUT)
     x = ad.conv2d_relu(x, params["conv_filters"])
-    x = ad.dropout(x, config.dropout_feature, seed, _DROP_FEATURE, step, training)
+    x = ad.dropout(x, config.dropout_feature, dropout_key, _DROP_FEATURE)
     x = ad.reshape(x, (B, config.flat_dim))     # a view: conv2d's output is C-ordered
     proj = ad.affine(x, params["fc_W"], params["fc_b"])
-    proj = ad.dropout(proj, config.dropout_hidden, seed, _DROP_HIDDEN, step, training)
+    proj = ad.dropout(proj, config.dropout_hidden, dropout_key, _DROP_HIDDEN)
     proj = ad.relu(proj)
     return ad.affine(proj, ad.transpose(entities_enc), params["entity_bias"])
 

@@ -79,7 +79,7 @@ def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | No
 
     def score(queries: np.ndarray) -> np.ndarray:
         h, r = ad.gather_rows(E, queries[:, 0]), ad.gather_rows(R, queries[:, 1])
-        return conve_score(h, r, E, params, decoder_config, training=False).data
+        return conve_score(h, r, E, params, decoder_config).data
 
     return score
 

@@ -282,7 +282,8 @@ def save_kg(kg: KnowledgeGraph, path) -> None:
             valid=kg.valid,
             test=kg.test,
             augmented=np.asarray([kg.augmented]),
-            num_raw_relations=np.asarray([kg.num_raw_relations or -1]),
+            num_raw_relations=np.asarray([-1 if kg.num_raw_relations is None
+                                          else kg.num_raw_relations]),
             report=np.asarray([json.dumps(kg.report)]),
         )
 
@@ -291,7 +292,9 @@ def load_kg(path) -> KnowledgeGraph:
     """Reads a ``save_kg`` file without unpickling anything.
 
     A damaged or incomplete file, a bare ``.npy`` array, a file holding pickled
-    object arrays, or one whose triples name an id outside the vocabularies is a DataError.
+    object arrays, one whose triples name an id outside the vocabularies, or an
+    augmented one whose train split is not its raw half followed by that half's
+    inverses is a DataError.
     """
     try:
         # np.load leaves a file it opened itself open when the zip is damaged
@@ -316,4 +319,11 @@ def load_kg(path) -> KnowledgeGraph:
                              or triples[:, 1].max() >= kg.n_relations):
             raise DataError(f"{name} triples in {path} name an entity id outside "
                             f"[0, {kg.n_entities}) or a relation id outside [0, {kg.n_relations})")
+    n_raw, half = kg.num_raw_relations, len(kg.train) // 2
+    if kg.augmented and (n_raw is None or kg.n_relations != 2 * n_raw or len(kg.train) % 2
+                         or not np.array_equal(kg.train[half:],
+                                               inverse_triples(kg.train[:half], n_raw))):
+        raise DataError(f"augmented knowledge graph file {path} is inconsistent: its train "
+                        "split must be raw triples followed by their inverses, over "
+                        f"2 x {n_raw} raw relations, not {kg.n_relations} (re-run ingest)")
     return kg

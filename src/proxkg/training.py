@@ -214,10 +214,6 @@ class Adam:
             self.v[name] = blobs[f"opt.v.{name}"]
 
 
-def _make_optimizer(kind: str, params: dict, lr: float):
-    return Adam(params, lr) if kind == "adam" else SGD(params, lr)
-
-
 def config_digest(encoder_config, decoder_config, train_config) -> str:
     payload = json.dumps(
         {"encoder": asdict(encoder_config), "decoder": asdict(decoder_config),
@@ -315,30 +311,33 @@ class Trainer:
             params = init_encoder_params(encoder_config, kg.n_entities, kg.n_relations, self.rng)
             params.update(init_decoder_params(decoder_config, kg.n_entities, self.rng))
         self.params = params
-        self.optimizer = _make_optimizer(train_config.optimizer, self.params, train_config.learning_rate)
+        optimizer = Adam if train_config.optimizer == "adam" else SGD
+        self.optimizer = optimizer(self.params, train_config.learning_rate)
+        self.dst_order = np.argsort(kg.train[:, 2], kind="stable")    # train edges by destination
         self.epoch = 0
         self.global_step = 0
         self.best_valid_mrr = None
-
-    def _zero_grads(self):
-        for p in self.params.values():
-            p.zero_grad()
 
     def step(self, batch: QueryBatch) -> float:
         """One optimization step; returns the batch loss."""
         cfg = self.train_config
         keep = sample_edge_dropout(self.kg, int(self.rng.integers(2 ** 62)), cfg.edge_drop_rate)
-        adj = RelationalAdjacency(self.kg.train, keep, self.kg.n_entities)
+        kept = np.zeros(len(self.kg.train), dtype=bool)
+        kept[keep] = True
+        # the kept edges already in destination order, which RelationalAdjacency's sort keeps
+        adj = RelationalAdjacency(self.kg.train, self.dst_order[kept[self.dst_order]],
+                                  self.kg.n_entities)
         E_enc, R_enc = encode(self.params, adj, self.prox, self.encoder_config)
         h = ad.gather_rows(E_enc, batch.queries[:, 0])
         r = ad.gather_rows(R_enc, batch.queries[:, 1])
         output = conve_score(h, r, E_enc, self.params, self.decoder_config,
-                             training=True, seed=cfg.seed, step=self.global_step)
+                             dropout_key=(cfg.seed, self.global_step))
         loss = bce_loss(output, batch.targets, batch.floor)
         value = float(loss.data)
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at step {self.global_step}")
-        self._zero_grads()
+        for p in self.params.values():
+            p.grad = None
         loss.backward()
         self.optimizer.step()
         self.global_step += 1
@@ -450,13 +449,6 @@ def check_checkpoint(header: dict, blobs: dict, kg: KnowledgeGraph) -> list[str]
             raise ContractError(f"checkpoint {name} has shape {got} ({got[0] if got else 0} rows), "
                                 f"this knowledge graph's model {shape}")
     return list(model)
-
-
-def checkpoint_model(header: dict, blobs: dict) -> tuple[dict, EncoderConfig, DecoderConfig]:
-    """Parameter tensors and model configs of a loaded checkpoint, for evaluation."""
-    params = {spec["name"]: Tensor(blobs[spec["name"]])
-              for spec in header["blobs"] if not spec["name"].startswith("opt.")}
-    return params, header["encoder_config"], header["decoder_config"]
 
 
 def grid_search(kg: KnowledgeGraph, grid: dict, settings: dict,

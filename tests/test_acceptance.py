@@ -187,7 +187,7 @@ def test_criterion_4_gradient_suite():
         E_enc, R_enc = encode(tensors, adj, prox, enc_cfg)
         h = ad.gather_rows(E_enc, queries[:, 0])
         r = ad.gather_rows(R_enc, queries[:, 1])
-        out = conve_score(h, r, E_enc, tensors, dec_cfg, training=False)
+        out = conve_score(h, r, E_enc, tensors, dec_cfg)
         return bce_loss(out, sparse.csr_array(targets))
 
     live = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}

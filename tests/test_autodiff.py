@@ -507,20 +507,29 @@ def test_activation_gradients(rng):
 
 def test_dropout_identity_cases(rng):
     x = Tensor(rng.uniform(-1, 1, (3, 4)))
-    assert ad.dropout(x, 0.0, 1, 2, 3, True) is x
-    assert ad.dropout(x, 0.5, 1, 2, 3, False) is x
+    assert ad.dropout(x, 0.0, (1, 3), 2) is x
+    assert ad.dropout(x, 0.5, None, 2) is x
 
 
 def test_dropout_deterministic_and_scaled(rng):
     x = Tensor(np.ones((50, 50)))
-    a = ad.dropout(x, 0.3, seed=9, layer_id=1, step=4, training=True).data
-    b = ad.dropout(x, 0.3, seed=9, layer_id=1, step=4, training=True).data
+    a = ad.dropout(x, 0.3, key=(9, 4), layer_id=1).data
+    b = ad.dropout(x, 0.3, key=(9, 4), layer_id=1).data
     assert np.array_equal(a, b)
-    c = ad.dropout(x, 0.3, seed=9, layer_id=1, step=5, training=True).data
+    c = ad.dropout(x, 0.3, key=(9, 5), layer_id=1).data
     assert not np.array_equal(a, c)
     kept = a[a != 0]
     assert np.allclose(kept, 1.0 / 0.7)
     assert abs((a != 0).mean() - 0.7) < 0.05
+
+
+@pytest.mark.parametrize("seed, layer_id, step", [(9, 1, 4), (0, 103, 0), (2 ** 40, 102, 7)])
+def test_dropout_mask_is_the_keyed_philox_draw(seed, layer_id, step):
+    """Keyed by (seed, step), the mask is Philox's draw under the words (seed, layer_id:step)."""
+    x = Tensor(np.ones((6, 7)))
+    got = ad.dropout(x, 0.3, (seed, step), layer_id).data
+    rng = np.random.Generator(np.random.Philox(key=[seed, layer_id << 32 | step]))
+    assert np.array_equal(got, (rng.random((6, 7)) >= 0.3) * (1.0 / 0.7))
 
 
 def test_backward_sum_gives_ones(rng):

@@ -13,7 +13,7 @@ from proxkg.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, coerce, ma
                         parse_config_file)
 from proxkg.decoder import DecoderConfig
 from proxkg.encoder import EncoderConfig
-from proxkg.kgdata import ContractError, load_kg, save_kg
+from proxkg.kgdata import ContractError, augment_inverse, load_kg, save_kg
 from proxkg.synth import clustered_kg, random_kg, write_kg_files
 from proxkg.training import TrainConfig, load_checkpoint
 from conftest import (LEGACY_DECODERS, legacy_decoder_header, rewrite_checkpoint,
@@ -431,6 +431,24 @@ def test_cli_out_of_range_id_in_kg_is_data_error(built_dir, command, column, val
     kg.train[0, column] = getattr(kg, value) if isinstance(value, str) else value
     save_kg(kg, path)
     assert run([command, "--set", f"out_dir={built_dir}"] + TINY_TRAIN) == EXIT_DATA
+
+
+# edits that put an augmented kg.npz out of step with its raw half
+AUGMENTED_DAMAGE = {"no_raw_relation_count": lambda kg: setattr(kg, "num_raw_relations", None),
+                    "train_missing_a_row": lambda kg: setattr(kg, "train", kg.train[:-1])}
+
+
+@pytest.mark.parametrize("command", ["ntype", "build-proximity"])
+@pytest.mark.parametrize("damage", AUGMENTED_DAMAGE)
+def test_cli_inconsistent_augmented_kg_is_data_error(built_dir, capsys, command, damage):
+    path = built_dir / "kg.npz"
+    kg = augment_inverse(load_kg(path))
+    AUGMENTED_DAMAGE[damage](kg)
+    save_kg(kg, path)
+    capsys.readouterr()
+    assert run([command, "--set", f"out_dir={built_dir}"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(path) in err
 
 
 @pytest.fixture(scope="module")

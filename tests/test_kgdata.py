@@ -160,6 +160,13 @@ def test_kg_serialization_round_trip(tmp_path):
     assert load_kg(tmp_path / "kg").entities.surfaces() == kg.entities.surfaces()
 
 
+def test_kg_round_trip_keeps_a_zero_raw_relation_count(tmp_path):
+    kg = augment_inverse(kg_from_triples([]))
+    save_kg(kg, tmp_path / "kg.npz")
+    back = load_kg(tmp_path / "kg.npz")
+    assert back.augmented and back.num_raw_relations == 0
+
+
 def test_kg_file_holds_no_object_arrays(tmp_path):
     kg = kg_from_triples([("a", "r0", "b"), ("b\u00e9", "r1", "")])
     kg.report = {"note": "caf\u00e9 \u0000"}

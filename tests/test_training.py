@@ -14,7 +14,7 @@ from proxkg.synth import random_kg
 from proxkg import training
 from proxkg.training import (SGD, Adam, NumericError, TrainConfig, Trainer,
                              build_batches, config_digest, grid_search,
-                             checkpoint_model, load_checkpoint, make_configs,
+                             check_checkpoint, load_checkpoint, make_configs,
                              train_query_table, write_trial_table)
 from conftest import (kg_from_triples, legacy_decoder_header, rewrite_checkpoint,
                       rewrite_checkpoint_header)
@@ -217,6 +217,28 @@ def test_step_with_every_edge_dropped(rng, composition, scheme):
     assert all(np.isfinite(p.data).all() for p in trainer.params.values())
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_step_adjacency_equals_the_kept_edges_sorted_afresh(monkeypatch, rate, seed):
+    """The step orders the kept edges through the trainer's one destination sort."""
+    kg, pg, enc, dec, trn = toy_pipeline(np.random.default_rng(seed), edge_drop_rate=rate,
+                                         seed=seed)
+    keeps, adjs = [], []
+    sample, adjacency = training.sample_edge_dropout, training.RelationalAdjacency
+    monkeypatch.setattr(training, "sample_edge_dropout",
+                        lambda *args: keeps.append(sample(*args)) or keeps[-1])
+    monkeypatch.setattr(training, "RelationalAdjacency",
+                        lambda *args: adjs.append(adjacency(*args)) or adjs[-1])
+    trainer = Trainer(kg, pg, enc, dec, trn)
+    for _ in range(3):
+        one_step(trainer)
+    assert len(keeps) == len(adjs) == 3
+    for keep, adj in zip(keeps, adjs):
+        want = adjacency(kg.train, keep, kg.n_entities)
+        for name in ("src", "rel", "dst"):
+            assert np.array_equal(getattr(adj, name), getattr(want, name)), name
+
+
 def test_step_with_empty_proximity_graph(rng):
     kg, _, enc, dec, trn = toy_pipeline(rng)
     spm = accumulate_spm(extract_qa_pairs(kg), 4)
@@ -333,9 +355,9 @@ def test_checkpoint_header_fields(tmp_path, rng):
     assert header["config_digest"] == config_digest(enc, dec, trn)
     assert header["epoch"] == 1
     assert "entity_embed" in blobs
-    params, enc2, dec2 = checkpoint_model(header, blobs)
-    assert enc2.dim == enc.dim
-    assert not any(k.startswith("opt.") for k in params)
+    names = check_checkpoint(header, blobs, kg)
+    assert header["encoder_config"].dim == enc.dim
+    assert not any(k.startswith("opt.") for k in names)
 
 
 class _FailingBlob:
@@ -449,7 +471,8 @@ def test_checkpoint_older_version_restores(tmp_path, version):
     assert restored.run_epoch() == trainer.run_epoch()
     for k, p in trainer.params.items():
         assert np.array_equal(p.data, restored.params[k].data), k
-    assert checkpoint_model(*load_checkpoint(old))[1:] == (enc, dec)
+    header = load_checkpoint(old)[0]
+    assert (header["encoder_config"], header["decoder_config"]) == (enc, dec)
 
 
 def test_checkpoint_version_2_other_reshape_is_contract_error(tmp_path):
