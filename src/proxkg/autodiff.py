@@ -12,8 +12,9 @@ sum to each edge's message: ``edge_sum`` (one SpMM per term, with CSR
 matrices built by ``_csr`` straight from the edge arrays) and ``edge_dot``
 (an SDDMM that gathers the anchor rows once per block of edges for all the
 terms), each the other's backward. Any edge order is correct; edges sorted
-by destination, as ``encoder.RelationalAdjacency`` keeps them, are the fast
-case.
+by destination are the fast case. ``encoder.RelationalAdjacency`` sorts the
+train edges so once, and each step's edge-dropout view (its ``kept``)
+selects along that order, so no step sorts.
 """
 
 from __future__ import annotations

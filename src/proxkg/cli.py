@@ -5,7 +5,8 @@ Configuration is a flat ``key = value`` text file; any flag of the form
 header (config digest, seed, tool version) so runs are reproducible and
 artifacts from different configurations cannot be silently mixed.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric divergence.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric error (a non-finite
+training loss, or a NaN score being ranked).
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from . import __version__
 from .autodiff import Tensor
 from .encoder import ProximityAdjacency
 from .evaluation import evaluate, ntype_mrr_breakdown, ntype_report
-from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, augment_inverse,
-                     ingest_dataset, load_kg, read_lines, save_kg)
+from .kgdata import (ContractError, DataError, KnowledgeGraph, NumericError, atomic_write,
+                     augment_inverse, ingest_dataset, load_kg, read_lines, save_kg)
 from .proximity import (accumulate_spm, build_proximity_graph, export_proximity_tsv,
                         extract_qa_pairs, load_proximity_graph, proximity_stats,
                         save_proximity_graph)
-from .training import (GRID_KEYS, NumericError, TrainConfig, Trainer, check_checkpoint,
-                       config_digest, grid_search, load_checkpoint, make_configs,
-                       proximity_settings, write_trial_table)
+from .training import (GRID_KEYS, TrainConfig, Trainer, check_checkpoint, config_digest,
+                       grid_search, load_checkpoint, make_configs, proximity_settings,
+                       write_trial_table)
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 

@@ -9,6 +9,7 @@ entirely while leaving the relation path unchanged.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,26 +54,25 @@ class EncoderConfig:
 
 
 class RelationalAdjacency:
-    """Edge arrays (src, rel, dst) of the active message-passing graph, sorted by dst.
+    """Edge arrays (src, rel, dst) of the message-passing graph, sorted by dst.
 
-    An edge (h, r, t) delivers the composed (h, r) message to t. The kept
-    edges are ordered by destination with a stable sort, so the edge ops'
-    CSR rows need no sort and each destination's rows are gathered as one
-    run. Degrees are counted over the active edge set; ``relational_weights``
-    floors them at 1 so its formulas never divide by zero (zero-degree nodes
-    receive no messages anyway).
+    An edge (h, r, t) delivers the composed (h, r) message to t. One stable
+    sort orders the edges by destination, so the edge ops' CSR rows need no
+    sort and each destination's rows are gathered as one run; ``order`` holds
+    each edge's input row, and ``kept`` selects an edge-dropout view along it.
     """
 
-    def __init__(self, triples: np.ndarray, keep: np.ndarray | None = None, n_entities: int = 0):
-        if keep is not None:
-            triples = triples[keep]
-        triples = triples[np.argsort(triples[:, 2], kind="stable")]
-        self.src = triples[:, 0].astype(np.int64)
-        self.rel = triples[:, 1].astype(np.int64)
-        self.dst = triples[:, 2].astype(np.int64)
+    def __init__(self, triples: np.ndarray, n_entities: int):
         self.n_entities = n_entities
-        self.out_deg = np.bincount(self.src, minlength=n_entities).astype(np.float64)
-        self.in_deg = np.bincount(self.dst, minlength=n_entities).astype(np.float64)
+        self.order = np.argsort(triples[:, 2], kind="stable")
+        self.src, self.rel, self.dst = np.ascontiguousarray(triples[self.order].T, dtype=np.int64)
+
+    def kept(self, keep: np.ndarray) -> RelationalAdjacency:
+        """The view of the edges whose boolean ``keep``, indexed by input row, is True."""
+        view, on = copy.copy(self), keep[self.order]
+        view.order, view.src, view.rel, view.dst = (self.order[on], self.src[on], self.rel[on],
+                                                    self.dst[on])
+        return view
 
     @property
     def n_edges(self) -> int:
@@ -112,12 +112,13 @@ def relational_weights(adj: RelationalAdjacency, e_current: Tensor,
     prior: reciprocal of the source out-degree; gcn: symmetric-normalized
     1/sqrt(d_dst * d_src); attention: softmax over each destination's
     neighborhood of the dot product between its current state and the
-    composed message, given as the ``messages`` terms.
+    composed message, given as the ``messages`` terms. Degrees count
+    ``adj``'s edges, so an edge's own endpoints have degree at least 1.
     """
     if scheme == "prior":
-        return Tensor(1.0 / np.maximum(adj.out_deg[adj.src], 1.0))
+        return Tensor(1.0 / np.bincount(adj.src)[adj.src])
     if scheme == "gcn":
-        return Tensor(1.0 / np.sqrt(np.maximum(adj.in_deg[adj.dst], 1.0) * np.maximum(adj.out_deg[adj.src], 1.0)))
+        return Tensor(1.0 / np.sqrt(np.bincount(adj.dst)[adj.dst] * np.bincount(adj.src)[adj.src]))
     if scheme == "attention":
         return ad.segment_softmax(ad.edge_dot(e_current, adj.dst, terms), adj.dst, adj.n_entities)
     raise ContractError(f"unknown weight scheme {scheme!r}")

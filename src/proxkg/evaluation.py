@@ -21,7 +21,8 @@ from scipy import sparse
 from . import autodiff as ad
 from .decoder import DecoderConfig, conve_score
 from .encoder import EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode
-from .kgdata import ContractError, KnowledgeGraph, answer_rows, inverse_triples, query_answers
+from .kgdata import (ContractError, KnowledgeGraph, NumericError, answer_rows, inverse_triples,
+                     query_answers)
 
 NTYPE_LABELS = ("N=0", "N=1", "1<N<=10", "10<N<=100", "100<N<=500", "N>500")
 NTYPE_UPPER = (0, 1, 10, 100, 500)    # inclusive upper answer count of each bounded range
@@ -35,10 +36,12 @@ def filtered_rank(scores: np.ndarray, targets: np.ndarray,
     the B target entities; ``known`` is a SciPy sparse [B, n_e] array whose
     nonzero cells are each row's known answers. rank = (upper + lower) / 2
     where upper counts strictly better scores and lower additionally counts
-    exact ties.
+    exact ties. A NaN target score has no rank, so it raises ``NumericError``.
     """
     rows = np.arange(len(scores))
     s_t = scores[rows, targets]
+    if np.isnan(s_t).any():
+        raise NumericError("a ranked target's score is NaN")
     scores[known.nonzero()] = -np.inf
     scores[rows, targets] = s_t
     upper = 1 + (scores > s_t[:, None]).sum(axis=1)
@@ -74,7 +77,7 @@ def batch_scorer(params: dict, kg: KnowledgeGraph, prox: ProximityAdjacency | No
     matrix. Parameters are wrapped as constants, so no op records a backward graph.
     """
     params = {name: ad.Tensor(p.data) for name, p in params.items()}
-    adj = RelationalAdjacency(kg.train, None, kg.n_entities)
+    adj = RelationalAdjacency(kg.train, kg.n_entities)
     E, R = encode(params, adj, prox, encoder_config)
 
     def score(queries: np.ndarray) -> np.ndarray:

@@ -28,6 +28,10 @@ class ContractError(Exception):
     """An operation was called outside its contract."""
 
 
+class NumericError(Exception):
+    """A computation went non-finite: a training loss, or a score being ranked."""
+
+
 class Vocabulary:
     """Dense interning of surface strings; first-seen order is preserved."""
 
@@ -219,7 +223,7 @@ def answer_rows(queries: np.ndarray, table: sparse.csr_array,
 
 
 def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.ndarray:
-    """Indices of train triples kept for one batch's message-passing view.
+    """Boolean mask over the train triples, True where one batch's message-passing view keeps it.
 
     Each triple is kept independently with probability 1 - drop_rate;
     deterministic for a fixed seed.
@@ -229,7 +233,7 @@ def sample_edge_dropout(kg: KnowledgeGraph, seed: int, drop_rate: float) -> np.n
     if not kg.augmented:
         raise ContractError("edge dropout operates on the augmented train split")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return np.flatnonzero(rng.random(len(kg.train)) >= drop_rate)
+    return rng.random(len(kg.train)) >= drop_rate
 
 
 @contextmanager

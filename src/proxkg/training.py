@@ -26,8 +26,8 @@ from .decoder import (DecoderConfig, bce_loss, conve_score, decoder_param_shapes
                       init_decoder_params)
 from .encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacency, encode,
                       encoder_param_shapes, init_encoder_params)
-from .kgdata import (ContractError, DataError, KnowledgeGraph, atomic_write, query_answers,
-                     read_exact, sample_edge_dropout)
+from .kgdata import (ContractError, DataError, KnowledgeGraph, NumericError, atomic_write,
+                     query_answers, read_exact, sample_edge_dropout)
 from .proximity import (ProximityGraph, accumulate_spm, build_proximity_graph, check_cutoff,
                         check_threshold, extract_qa_pairs)
 
@@ -48,10 +48,6 @@ _CKPT_HEAD = struct.Struct("<IQ")    # version, JSON header length
 # the JSON header's keys, as every version writes them
 _CKPT_KEYS = ("config_digest", "encoder_config", "decoder_config", "train_config", "optimizer",
               "rng_state", "epoch", "global_step", "best_valid_mrr", "blobs")
-
-
-class NumericError(Exception):
-    """Training diverged to a non-finite loss."""
 
 
 @dataclass(frozen=True)
@@ -313,7 +309,7 @@ class Trainer:
         self.params = params
         optimizer = Adam if train_config.optimizer == "adam" else SGD
         self.optimizer = optimizer(self.params, train_config.learning_rate)
-        self.dst_order = np.argsort(kg.train[:, 2], kind="stable")    # train edges by destination
+        self.adj = RelationalAdjacency(kg.train, kg.n_entities)
         self.epoch = 0
         self.global_step = 0
         self.best_valid_mrr = None
@@ -321,12 +317,8 @@ class Trainer:
     def step(self, batch: QueryBatch) -> float:
         """One optimization step; returns the batch loss."""
         cfg = self.train_config
-        keep = sample_edge_dropout(self.kg, int(self.rng.integers(2 ** 62)), cfg.edge_drop_rate)
-        kept = np.zeros(len(self.kg.train), dtype=bool)
-        kept[keep] = True
-        # the kept edges already in destination order, which RelationalAdjacency's sort keeps
-        adj = RelationalAdjacency(self.kg.train, self.dst_order[kept[self.dst_order]],
-                                  self.kg.n_entities)
+        adj = self.adj.kept(sample_edge_dropout(self.kg, int(self.rng.integers(2 ** 62)),
+                                                cfg.edge_drop_rate))
         E_enc, R_enc = encode(self.params, adj, self.prox, self.encoder_config)
         h = ad.gather_rows(E_enc, batch.queries[:, 0])
         r = ad.gather_rows(R_enc, batch.queries[:, 1])

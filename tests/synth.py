@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kgdata import KnowledgeGraph, Vocabulary
+from proxkg.kgdata import KnowledgeGraph, Vocabulary
 
 
 def _make_kg(train, valid, test, entities, relations) -> KnowledgeGraph:

@@ -23,7 +23,7 @@ from proxkg.encoder import (EncoderConfig, ProximityAdjacency, RelationalAdjacen
 from proxkg.evaluation import NTYPE_LABELS, evaluate, ntype_mrr_breakdown, ntype_report
 from proxkg.kgdata import augment_inverse, ingest_dataset
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
-from proxkg.synth import clustered_kg, random_kg
+from synth import clustered_kg, random_kg
 from proxkg.training import TrainConfig, Trainer
 
 from test_autodiff import check_gradient, finite_diff
@@ -179,7 +179,7 @@ def test_criterion_4_gradient_suite():
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 10),
                                    0.0, kg.n_entities)
     prox = ProximityAdjacency(pgraph)
-    adj = RelationalAdjacency(kg.train, None, kg.n_entities)
+    adj = RelationalAdjacency(kg.train, kg.n_entities)
     queries = kg.train[:4, :2]
     targets = rng.uniform(0.1, 0.9, (4, kg.n_entities))
 
@@ -233,7 +233,7 @@ def test_criterion_6_encoder_identities():
     params = init_encoder_params(config, kg.n_entities, kg.n_relations, rng)
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 8),
                                    0.0, kg.n_entities)
-    adj = RelationalAdjacency(kg.train, None, kg.n_entities)
+    adj = RelationalAdjacency(kg.train, kg.n_entities)
 
     # zero transforms: the residual chain returns the raw embeddings
     zeroed = dict(params)

@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxkg.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, coerce, main,
-                        parse_config_file)
+from proxkg.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, coerce,
+                        main, parse_config_file)
 from proxkg.decoder import DecoderConfig
 from proxkg.encoder import EncoderConfig
 from proxkg.kgdata import ContractError, augment_inverse, load_kg, save_kg
-from proxkg.synth import clustered_kg, random_kg, write_kg_files
+from synth import clustered_kg, random_kg, write_kg_files
 from proxkg.training import TrainConfig, load_checkpoint
 from conftest import (LEGACY_DECODERS, legacy_decoder_header, rewrite_checkpoint,
                       rewrite_checkpoint_header, write_triples)
@@ -390,6 +390,18 @@ def test_cli_checkpoint_blob_unlike_the_model_is_rejected(built_dir, edit, code)
     edit(blobs)
     rewrite_checkpoint(ckpt, blobs)
     assert run(["evaluate"] + args) == code
+
+
+def test_cli_evaluate_nan_checkpoint_is_numeric_error(built_dir, capsys):
+    args = ["--set", f"out_dir={built_dir}"] + TINY_TRAIN
+    assert run(["train"] + args) == EXIT_OK
+    ckpt = built_dir / "checkpoint.bin"
+    _, blobs = load_checkpoint(ckpt)
+    blobs["fc_b"] = np.full_like(blobs["fc_b"], np.nan)
+    rewrite_checkpoint(ckpt, blobs)
+    capsys.readouterr()
+    assert run(["evaluate"] + args) == EXIT_NUMERIC
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_nan_proximity_weight_is_data_error(built_dir, capsys):

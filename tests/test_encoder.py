@@ -11,7 +11,7 @@ from proxkg.encoder import (COMPOSITIONS, WEIGHT_SCHEMES, EncoderConfig, Proximi
 from proxkg.kgdata import ContractError, augment_inverse
 from proxkg.proximity import (EDGE_DTYPE, ProximityGraph, SPMMatrix, accumulate_spm,
                               build_proximity_graph, extract_qa_pairs)
-from proxkg.synth import random_kg
+from synth import random_kg
 from conftest import kg_from_triples, spm_records
 
 
@@ -78,6 +78,14 @@ def ref_segment_weighted_sum(values, weights, segments, n):
     return ad._make(out, (values, weights), bw)
 
 
+def out_degree(adj):
+    return np.bincount(adj.src, minlength=adj.n_entities).astype(np.float64)
+
+
+def in_degree(adj):
+    return np.bincount(adj.dst, minlength=adj.n_entities).astype(np.float64)
+
+
 def reference_gr_layer(entities, relations, adj, W, config, params):
     """gr_layer as gather -> compose -> weight -> scatter, with every [E, d] array built."""
     phi = compose(ad.gather_rows(entities, adj.src), ad.gather_rows(relations, adj.rel),
@@ -85,10 +93,10 @@ def reference_gr_layer(entities, relations, adj, W, config, params):
     if config.weight_scheme == "attention":
         alpha = ad.segment_softmax(ref_gather_dot(entities, adj.dst, phi), adj.dst, adj.n_entities)
     elif config.weight_scheme == "prior":
-        alpha = Tensor(1.0 / np.maximum(adj.out_deg[adj.src], 1.0))
+        alpha = Tensor(1.0 / np.maximum(out_degree(adj)[adj.src], 1.0))
     else:
-        alpha = Tensor(1.0 / np.sqrt(np.maximum(adj.in_deg[adj.dst], 1.0)
-                                     * np.maximum(adj.out_deg[adj.src], 1.0)))
+        alpha = Tensor(1.0 / np.sqrt(np.maximum(in_degree(adj)[adj.dst], 1.0)
+                                     * np.maximum(out_degree(adj)[adj.src], 1.0)))
     n = ref_segment_weighted_sum(phi, alpha, adj.dst, adj.n_entities)
     return ad.add(ad.tanh(ad.matmul(n, W)), entities)
 
@@ -131,7 +139,7 @@ def toy_setup(rng, composition="additive", weight_scheme="attention",
                            composition=composition, weight_scheme=weight_scheme)
     params = init_encoder_params(config, kg.n_entities, kg.n_relations, rng)
     pgraph = build_proximity_graph(accumulate_spm(extract_qa_pairs(kg), 4), 0.0, kg.n_entities)
-    adj = RelationalAdjacency(kg.train, None, kg.n_entities)
+    adj = RelationalAdjacency(kg.train, kg.n_entities)
     return kg, config, params, pgraph, adj
 
 
@@ -148,16 +156,16 @@ def test_compose_identities(rng):
 def test_relational_weights_formulas(rng):
     # one source with outdegree 4
     triples = np.array([[0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 0, 4]])
-    adj = RelationalAdjacency(triples, None, 5)
+    adj = RelationalAdjacency(triples, 5)
     E = Tensor(rng.uniform(-1, 1, (5, 3)))
     phi = [(Tensor(rng.uniform(-1, 1, (4, 3))), np.arange(4))]
     assert np.allclose(relational_weights(adj, E, phi, "prior").data, 0.25)
     # gcn: d_dst=4, d_src=1 -> 0.5
     fan_in = np.array([[i, 0, 4] for i in range(4)])
-    adj_in = RelationalAdjacency(fan_in, None, 5)
+    adj_in = RelationalAdjacency(fan_in, 5)
     assert np.allclose(relational_weights(adj_in, E, phi, "gcn").data, 0.5)
     # attention with a single neighbor is 1
-    single = RelationalAdjacency(np.array([[0, 0, 1]]), None, 2)
+    single = RelationalAdjacency(np.array([[0, 0, 1]]), 2)
     w = relational_weights(single, Tensor(rng.uniform(-1, 1, (2, 3))),
                            [(Tensor(rng.uniform(-1, 1, (1, 3))), np.arange(1))], "attention")
     assert np.allclose(w.data, [1.0])
@@ -174,11 +182,11 @@ def test_gr_layer_zero_transform_is_identity(rng, scheme):
 def test_gr_layer_isolated_entity_unchanged(rng):
     kg, config, params, _, _ = toy_setup(rng)
     # entity 5 ("f" as destination only via c->f; make an adjacency without it)
-    adj = RelationalAdjacency(kg.train[:2], None, kg.n_entities)
+    adj = RelationalAdjacency(kg.train[:2], kg.n_entities)
     out = gr_layer(params["entity_embed"], params["relation_embed"], adj,
                    params["kg_W0"], config, params)
     for i in range(kg.n_entities):
-        if adj.in_deg[i] == 0:
+        if in_degree(adj)[i] == 0:
             assert np.allclose(out.data[i], params["entity_embed"].data[i], atol=1e-15)
 
 
@@ -280,7 +288,7 @@ def test_encode_entity_permutation_equivariance(rng):
     triples_p = kg.train.copy()
     triples_p[:, 0] = perm[triples_p[:, 0]]
     triples_p[:, 2] = perm[triples_p[:, 2]]
-    adj_p = RelationalAdjacency(triples_p, None, kg.n_entities)
+    adj_p = RelationalAdjacency(triples_p, kg.n_entities)
     spm_p = SPMMatrix(spm_records({(min(perm[i], perm[j]), max(perm[i], perm[j])): w
                                    for i, j, w in pgraph.edges.tolist()}), pgraph.M)
     pgraph_p = build_proximity_graph(spm_p, pgraph.threshold, kg.n_entities)
@@ -330,17 +338,18 @@ def random_multigraph(rng, n_entities=12, n_linked=9, n_relations=4, n_edges=40)
                                rng.integers(0, n_relations, n_edges),
                                rng.integers(0, n_linked, n_edges)])
     repeated = np.array([[0, r, 1] for r in range(n_relations)] + [[2, 1, 3], [2, 1, 3]])
-    return RelationalAdjacency(np.concatenate([triples, repeated]), None, n_entities)
+    return RelationalAdjacency(np.concatenate([triples, repeated]), n_entities)
 
 
 def test_relational_adjacency_orders_kept_edges_by_destination(rng):
     triples = np.column_stack([rng.integers(0, 9, 40), rng.integers(0, 4, 40), rng.integers(0, 9, 40)])
     keep = rng.uniform(size=40) < 0.7
-    adj = RelationalAdjacency(triples, keep, 9)
+    adj = RelationalAdjacency(triples, 9).kept(keep)
     assert np.all(np.diff(adj.dst) >= 0)
     kept = triples[keep]        # each destination's edges stay in their input order
-    assert np.array_equal(np.column_stack([adj.src, adj.rel, adj.dst]),
-                          kept[np.argsort(kept[:, 2], kind="stable")])
+    by_dst = np.argsort(kept[:, 2], kind="stable")
+    assert np.array_equal(np.column_stack([adj.src, adj.rel, adj.dst]), kept[by_dst])
+    assert np.array_equal(adj.order, np.flatnonzero(keep)[by_dst])
 
 
 def max_relative_error(got, want):
@@ -354,8 +363,8 @@ def test_encode_does_not_depend_on_edge_order(rng, composition):
     kg, config, params, pgraph, _ = toy_setup(rng, composition)
     prox = ProximityAdjacency(pgraph)
     triples = np.concatenate([kg.train, kg.train[:3]])      # some edges twice
-    shuffled = RelationalAdjacency(triples[rng.permutation(len(triples))], None, kg.n_entities)
-    unsorted = RelationalAdjacency(triples, None, kg.n_entities)
+    shuffled = RelationalAdjacency(triples[rng.permutation(len(triples))], kg.n_entities)
+    unsorted = RelationalAdjacency(triples, kg.n_entities)
     perm = rng.permutation(unsorted.n_edges)
     unsorted.src, unsorted.rel, unsorted.dst = unsorted.src[perm], unsorted.rel[perm], unsorted.dst[perm]
     assert np.any(np.diff(unsorted.dst) < 0)
@@ -363,7 +372,7 @@ def test_encode_does_not_depend_on_edge_order(rng, composition):
     def run(adj):
         return outputs_and_grads(lambda p: encode(p, adj, prox, config)[0], params, 95)
 
-    out, grads = run(RelationalAdjacency(triples, None, kg.n_entities))
+    out, grads = run(RelationalAdjacency(triples, kg.n_entities))
     for adj in (shuffled, unsorted):
         got, got_grads = run(adj)
         assert max_relative_error(got, out) < 1e-12
@@ -389,7 +398,7 @@ def test_gr_layer_matches_gather_scatter_reference(rng, composition, scheme):
     assert sorted(grads) == sorted(ref_grads)
     for name, grad in grads.items():
         assert np.max(np.abs(grad - ref_grads[name])) < 1e-10, name
-    isolated = adj.in_deg == 0
+    isolated = in_degree(adj) == 0
     assert isolated[9:].all() and np.array_equal(out[isolated], params["entity_embed"].data[isolated])
 
 
@@ -416,7 +425,7 @@ def test_gp_layer_matches_gather_scatter_reference(rng):
 @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
 def test_gr_layer_empty_graph_returns_input(rng, composition, scheme):
     kg, config, params, _, _ = toy_setup(rng, composition, scheme)
-    adj = RelationalAdjacency(kg.train, np.zeros(len(kg.train), dtype=bool), kg.n_entities)
+    adj = RelationalAdjacency(kg.train, kg.n_entities).kept(np.zeros(len(kg.train), dtype=bool))
     out, grads = outputs_and_grads(lambda p: gr_layer(p["entity_embed"], p["relation_embed"], adj,
                                                       p["kg_W0"], config, p), params, 97)
     assert adj.n_edges == 0

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 import proxkg.evaluation as ev
+from proxkg import kgdata
 from proxkg.decoder import DecoderConfig, init_decoder_params
 from proxkg.encoder import EncoderConfig, ProximityAdjacency, init_encoder_params
 from proxkg.evaluation import (NTYPE_LABELS, build_filter_index, evaluate,
@@ -11,7 +12,7 @@ from proxkg.evaluation import (NTYPE_LABELS, build_filter_index, evaluate,
                                ntype_report, score_all_queries)
 from proxkg.kgdata import ContractError, answer_rows, augment_inverse, query_answers
 from proxkg.proximity import accumulate_spm, build_proximity_graph, extract_qa_pairs
-from proxkg.synth import random_kg
+from synth import random_kg
 from conftest import kg_from_triples
 
 
@@ -355,3 +356,21 @@ def test_ntype_breakdown_single_range_equals_overall(rng):
     for label in NTYPE_LABELS:
         if label not in breakdown["count_by_range"]:
             assert label not in breakdown["mrr_by_range"]
+
+
+def test_nan_target_score_is_a_numeric_error_not_a_rank():
+    scores = np.array([[0.3, np.nan, 0.1], [0.2, 0.5, 0.4]])
+    with pytest.raises(kgdata.NumericError):
+        filtered_rank(scores, np.array([1, 0]), sparse.csr_array((2, 3)))
+
+
+def test_evaluate_with_nan_logits_raises_instead_of_a_perfect_score():
+    kg = augment_inverse(random_kg(np.random.default_rng(0), 30, 3, 120, 10, 10))
+    enc, dec = EncoderConfig(dim=16, kg_only=True), DecoderConfig(dim=16)
+    rng = np.random.default_rng(0)
+    params = init_encoder_params(enc, kg.n_entities, kg.n_relations, rng)
+    params.update(init_decoder_params(dec, kg.n_entities, rng))
+    assert evaluate(params, kg, None, enc, dec, split="test")["mrr"] <= 1.0
+    params["fc_b"].data[:] = np.nan
+    with pytest.raises(kgdata.NumericError):
+        evaluate(params, kg, None, enc, dec, split="test")

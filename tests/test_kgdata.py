@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from proxkg import kgdata, training
 from proxkg.kgdata import (ContractError, DataError, augment_inverse,
                            ingest_dataset, load_kg, sample_edge_dropout, save_kg)
 from conftest import kg_from_triples, write_triples
@@ -104,16 +105,16 @@ def test_augment_counts_double():
 
 def test_edge_dropout_boundaries():
     aug = augment_inverse(kg_from_triples([("a", "r", "b"), ("b", "r", "c")]))
-    assert len(sample_edge_dropout(aug, 7, 0.0)) == len(aug.train)
-    assert len(sample_edge_dropout(aug, 7, 1.0)) == 0
+    assert sample_edge_dropout(aug, 7, 0.0).sum() == len(aug.train)
+    assert sample_edge_dropout(aug, 7, 1.0).sum() == 0
 
 
 def test_edge_dropout_rates_zero_and_one_keep_every_edge_or_none():
     aug = augment_inverse(kg_from_triples([("a", "r", "b"), ("b", "r", "c")]))
     every = sample_edge_dropout(aug, 7, 0.0)
-    assert every.dtype == np.int64 and np.array_equal(every, np.arange(len(aug.train)))
+    assert every.dtype == bool and every.shape == (len(aug.train),) and every.all()
     none = sample_edge_dropout(aug, 7, 1.0)
-    assert none.dtype == np.int64 and none.shape == (0,)
+    assert none.dtype == bool and none.shape == (len(aug.train),) and not none.any()
 
 
 def test_edge_dropout_deterministic_subset():
@@ -122,7 +123,7 @@ def test_edge_dropout_deterministic_subset():
     a = sample_edge_dropout(aug, 42, 0.3)
     b = sample_edge_dropout(aug, 42, 0.3)
     assert np.array_equal(a, b)
-    assert set(a) <= set(range(len(aug.train)))
+    assert a.dtype == bool and a.shape == (len(aug.train),)
     c = sample_edge_dropout(aug, 43, 0.3)
     assert not np.array_equal(a, c)
 
@@ -132,7 +133,7 @@ def test_edge_dropout_binomial_interval():
     rows = [(f"a{i}", "r", f"b{i}") for i in range(5000)]
     aug = augment_inverse(kg_from_triples(rows))
     for seed in range(5):
-        kept = len(sample_edge_dropout(aug, seed, 0.3))
+        kept = sample_edge_dropout(aug, seed, 0.3).sum()
         assert 6500 <= kept <= 7500
 
 
@@ -221,3 +222,7 @@ def test_load_damaged_kg_closes_its_file(tmp_path):
             load_kg(path)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_numeric_error_is_kgdata_s_and_training_s():
+    assert training.NumericError is kgdata.NumericError

@@ -14,7 +14,7 @@ from proxkg.proximity import (HEAD_QUERY, TAIL_QUERY, QAPairIndex,
                               export_proximity_tsv, extract_qa_pairs,
                               load_proximity_graph, pm, proximity_stats,
                               save_proximity_graph)
-from proxkg.synth import random_kg
+from synth import random_kg
 from conftest import kg_from_triples, spm_records
 
 
