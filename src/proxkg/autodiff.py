@@ -5,16 +5,17 @@ differentiable op records a backward closure on the output tensor;
 ``backward()`` on a scalar root walks the graph in reverse topological
 order and accumulates gradients into every ``requires_grad`` leaf.
 
-Broadcasting is restricted to the numpy trailing-dimension rule; anything
-the model does not need is rejected early. Message passing runs on two edge
-ops over a message given as terms, a list of (table, ids) pairs whose rows
-sum to each edge's message: ``edge_sum`` (one SpMM per term, with CSR
-matrices built by ``_csr`` straight from the edge arrays) and ``edge_dot``
-(an SDDMM that gathers the anchor rows once per block of edges for all the
-terms), each the other's backward. Any edge order is correct; edges sorted
-by destination are the fast case. ``encoder.RelationalAdjacency`` sorts the
-train edges so once, and each step's edge-dropout view (its ``kept``)
-selects along that order, so no step sorts.
+Each op takes the one operand form the model sends and rejects any other in
+its forward pass: ``add`` and ``mul`` take operands of one shape, and only
+``affine``'s bias, one value per output column, broadcasts. Message passing
+runs on two edge ops over a message given as terms, a list of (table, ids)
+pairs whose rows sum to each edge's message: ``edge_sum`` (one SpMM per term,
+with CSR matrices built by ``_csr`` straight from the edge arrays) and
+``edge_dot`` (an SDDMM that gathers the anchor rows once per block of edges
+for all the terms), each the other's backward. Any edge order is correct;
+edges sorted by destination are the fast case. ``encoder.RelationalAdjacency``
+sorts the train edges so once, and each step's edge-dropout view (its
+``kept``) selects along that order, so no step sorts.
 """
 
 from __future__ import annotations
@@ -91,40 +92,33 @@ def _needs_grad(*tensors):
     return any(t.requires_grad or t._parents for t in tensors)
 
 
-def _unbroadcast(grad, shape):
-    """Reduce a broadcast gradient back to the original shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def _make(data, parents, backward):
     if any(_needs_grad(p) for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 
 
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"{op} expects operands of one shape, got {a.data.shape} and {b.data.shape}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "add")
     out = a.data + b.data
 
     def bw(g):
-        return [(a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape))]
+        return [(a, g), (b, g)]
 
     return _make(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "mul")
     out = a.data * b.data
 
     def bw(g):
-        return [
-            (a, _unbroadcast(g * b.data, a.data.shape)),
-            (b, _unbroadcast(g * a.data, b.data.shape)),
-        ]
+        return [(a, g * b.data), (b, g * a.data)]
 
     return _make(out, (a, b), bw)
 
@@ -146,13 +140,15 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ W + b, the bias added in place to the fresh product so the output is written once.
 
-    b, if given, broadcasts over the rows of the product. The backward is
-    g W^T, x^T g and the row sum of g.
+    b, if given, holds one value per column of W and is added to every row
+    of the product. The backward is g W^T, x^T g and the column sum of g.
     """
     if x.data.ndim != 2 or W.data.ndim != 2:
         raise ValueError("affine expects 2-d operands")
     if x.data.shape[1] != W.data.shape[0]:
         raise ValueError(f"affine inner dims differ: {x.data.shape} vs {W.data.shape}")
+    if b is not None and b.data.shape != W.data.shape[1:]:
+        raise ValueError(f"affine expects a bias of shape {W.data.shape[1:]}, got {b.data.shape}")
     out = x.data @ W.data
     if b is not None:
         out += b.data
@@ -160,7 +156,7 @@ def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     def bw(g):
         grads = [(x, g @ W.data.T), (W, x.data.T @ g)]
         if b is not None:
-            grads.append((b, _unbroadcast(g, b.data.shape)))
+            grads.append((b, g.sum(axis=0)))
         return grads
 
     return _make(out, (x, W) if b is None else (x, W, b), bw)
@@ -212,13 +208,8 @@ def tsum(a: Tensor, axis=None) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = a.data.mean()
-
-    def bw(g):
-        return [(a, np.full(a.data.shape, g / n))]
-
-    return _make(out, (a,), bw)
+    """tsum(a) / a.data.size as a scale; kept because perfbench/spans.py traces it by name."""
+    return scale(tsum(a), 1.0 / a.data.size)
 
 
 def log(a: Tensor) -> Tensor:
@@ -367,18 +358,19 @@ def _csr(values, rows, cols, shape) -> sparse.csr_array:
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Row lookup; the backward is A^T @ g with the CSR matrix A holding 1 at (k, ids[k]).
+    """The rows ids of a 2-d table; the backward is A^T @ g, A the CSR array with 1 at (k, ids[k]).
 
     Each table row sums its gradients in index order, bit for bit as np.add.at.
     """
+    if table.data.ndim != 2 or np.ndim(ids) != 1:
+        raise ValueError(f"gather_rows expects a 2-d table and 1-d ids: {table.data.shape}, {np.shape(ids)}")
     n = table.data.shape[0]
     ids = _row_ids(ids, n)
     out = table.data[ids]
 
     def bw(g):
         A = _csr(np.ones(len(ids)), np.arange(len(ids)), ids, (len(ids), n))
-        rows = g.reshape(len(ids), int(np.prod(table.data.shape[1:])))
-        return [(table, (A.T @ rows).reshape(table.data.shape))]
+        return [(table, A.T @ g)]
 
     return _make(out, (table,), bw)
 

@@ -35,8 +35,9 @@ def filtered_rank(scores: np.ndarray, targets: np.ndarray,
     ``scores`` is a [B, n_e] block, overwritten in place; ``targets`` holds
     the B target entities; ``known`` is a SciPy sparse [B, n_e] array whose
     nonzero cells are each row's known answers. rank = (upper + lower) / 2
-    where upper counts strictly better scores and lower additionally counts
-    exact ties. A NaN target score has no rank, so it raises ``NumericError``.
+    where upper counts the scores not at or below the target's, so a NaN
+    counts as better, and lower additionally counts exact ties. A NaN target
+    score has no rank, so it raises ``NumericError``.
     """
     rows = np.arange(len(scores))
     s_t = scores[rows, targets]
@@ -44,8 +45,10 @@ def filtered_rank(scores: np.ndarray, targets: np.ndarray,
         raise NumericError("a ranked target's score is NaN")
     scores[known.nonzero()] = -np.inf
     scores[rows, targets] = s_t
-    upper = 1 + (scores > s_t[:, None]).sum(axis=1)
-    ties = (scores == s_t[:, None]).sum(axis=1) - 1
+    not_above = (scores <= s_t[:, None]).sum(axis=1)
+    below = (scores < s_t[:, None]).sum(axis=1)
+    upper = 1 + scores.shape[1] - not_above
+    ties = not_above - below - 1
     return (upper + (upper + ties)) / 2.0
 
 

@@ -106,9 +106,9 @@ def extract_qa_pairs(kg: KnowledgeGraph) -> QAPairIndex:
 
 
 def check_cutoff(M: int) -> None:
-    """The one rule for the answer-set cutoff: pm needs M > 2."""
-    if M <= 2:
-        raise ContractError(f"answer-set cutoff M must exceed 2, got {M}")
+    """The one rule for the answer-set cutoff: pm needs M > 2, and the graph file stores M in 32 bits."""
+    if not 2 < M < 2 ** 32:
+        raise ContractError(f"answer-set cutoff M must exceed 2 and be below 2**32, got {M}")
 
 
 def check_threshold(threshold: float) -> None:

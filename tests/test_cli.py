@@ -227,6 +227,21 @@ def test_cli_non_finite_threshold_is_config_error(built_dir, threshold):
                + ["--set", f"I={threshold}"]) == EXIT_CONFIG
 
 
+def test_cli_cutoff_the_graph_file_cannot_store_is_config_error(tmp_path, dataset_dir, capsys):
+    """The graph file's header holds M in 32 bits, so a larger M exits 2 before any work."""
+    out = tmp_path / "out"
+    assert run(["ingest", "--set", f"out_dir={out}"]
+               + [arg for key in ("train", "valid", "test")
+                  for arg in ("--set", f"{key}_path={dataset_dir}/{key}.txt")]) == EXIT_OK
+    ingested = sorted(path.name for path in out.iterdir())
+    for command in (["build-proximity"], ["grid", "--set", "grid.seed=1"]):
+        for M in (2 ** 32, 2 ** 33):
+            assert run(command + ["--set", f"out_dir={out}", "--set", f"M={M}",
+                                  "--set", "I=0.0"]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == ingested
+
+
 def test_cli_train_writes_configured_checkpoint_path(tmp_path, built_dir):
     ckpt = tmp_path / "elsewhere.bin"
     args = ["--set", f"out_dir={built_dir}", "--set", f"checkpoint_path={ckpt}"] + TINY_TRAIN

@@ -364,6 +364,14 @@ def test_nan_target_score_is_a_numeric_error_not_a_rank():
         filtered_rank(scores, np.array([1, 0]), sparse.csr_array((2, 3)))
 
 
+def test_nan_score_of_another_entity_counts_above_the_target():
+    assert rank_one([np.nan, np.nan, 0.1], 2, set()) == rank_one([0.5, 0.4, 0.1], 2, set()) == 3.0
+    # NaN, better, tied and worse scores in one block; row 1's filter masks one of its NaNs
+    scores = np.array([[0.3, np.nan, 0.3, 0.9, 0.1], [np.nan, 0.2, 0.7, 0.2, np.nan]])
+    known = sparse.csr_array(([1.0], ([1], [4])), shape=(2, 5))
+    assert filtered_rank(scores, np.array([0, 1]), known).tolist() == [3.5, 3.5]
+
+
 def test_evaluate_with_nan_logits_raises_instead_of_a_perfect_score():
     kg = augment_inverse(random_kg(np.random.default_rng(0), 30, 3, 120, 10, 10))
     enc, dec = EncoderConfig(dim=16, kg_only=True), DecoderConfig(dim=16)

@@ -83,11 +83,13 @@ def test_pm_values():
 
 
 def test_pm_rejects_bad_cutoff():
-    with pytest.raises(ContractError):
-        pm(2, 5)
-    with pytest.raises(ContractError):
-        accumulate_spm(QAPairIndex(np.empty((0, 3), np.int64), np.zeros(1, np.int64),
-                                   np.empty(0, np.int64)), 2)
+    assert pm(2 ** 32 - 1, 2) == 1.0
+    for M in (2, 2 ** 32):          # pm needs M > 2; the graph file holds M in 32 bits
+        with pytest.raises(ContractError):
+            pm(M, 5)
+        with pytest.raises(ContractError):
+            accumulate_spm(QAPairIndex(np.empty((0, 3), np.int64), np.zeros(1, np.int64),
+                                       np.empty(0, np.int64)), M)
 
 
 def test_accumulate_spm_rejects_key_overflow():
