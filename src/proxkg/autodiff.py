@@ -3,7 +3,16 @@
 Tensors wrap contiguous numpy arrays (float64 by default). Every
 differentiable op records a backward closure on the output tensor;
 ``backward()`` on a scalar root walks the graph in reverse topological
-order and accumulates gradients into every ``requires_grad`` leaf.
+order and accumulates gradients into every ``requires_grad`` leaf. It
+releases the graph as it goes: each node drops its closure and its parents
+when the walk reaches it, so each forward array is freed as soon as the last
+backward that reads it is done. A graph is walked once: a later
+``backward()`` that reaches a released node raises ``RuntimeError``.
+
+A backward owns the gradient ``g`` it receives and may overwrite it, so
+``tanh``, ``relu``, ``dropout`` and ``conv2d_relu`` scale ``g`` in place and
+the walk sums a node's gradients with ``+=``. The one op that passes ``g`` to
+two parents, ``add``, gives its second parent a copy.
 
 Each op takes the one operand form the model sends and rejects any other in
 its forward pass: ``add`` and ``mul`` take operands of one shape, and only
@@ -47,49 +56,73 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate gradients of this scalar into all reachable leaves."""
+        """Accumulate gradients of this scalar into all reachable leaves, releasing the graph."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.data.shape}")
-        if self._backward_done:
-            raise RuntimeError("backward already ran on this tensor; rebuild the graph first")
-        self._backward_done = True
-
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-
+        topo = _topo_order(self)
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is not None:
-                for parent, pg in node._backward(g):
-                    if pg is None:
-                        continue
-                    key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
+        while topo:
+            _run_last(topo, grads)
+
+
+def _topo_order(root: Tensor) -> list:
+    """Every node reachable from root, each after all of its parents.
+
+    Raises RuntimeError on a node an earlier backward has released, whose
+    gradient could no longer reach the leaves.
+    """
+    topo = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        if node._backward_done:
+            raise RuntimeError("backward already ran through this tensor; rebuild the graph first")
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return topo
+
+
+def _run_last(topo: list, grads: dict) -> None:
+    """Pop the last node of topo, drop its closure and parents, and run its backward.
+
+    A function of its own, so no reference to the node, its gradient or its
+    parents' gradients outlives the call. The node is let go before its
+    backward runs, so its output is freed then, unless that backward reads
+    it or a caller holds the tensor.
+    """
+    node = topo.pop()
+    g = grads.pop(id(node), None)
+    backward = node._backward
+    if backward is None:
+        if g is not None and node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        return
+    node._backward, node._parents, node._backward_done = None, (), True
+    del node
+    if g is None:
+        return
+    for parent, pg in backward(g):
+        if pg is None:
+            continue
+        key = id(parent)
+        if key in grads:
+            grads[key] += pg
+        else:
+            grads[key] = pg
 
 
 def _needs_grad(*tensors):
-    return any(t.requires_grad or t._parents for t in tensors)
+    """Whether an op on these records a node; on a released one it does, so backward raises."""
+    return any(t.requires_grad or t._parents or t._backward_done for t in tensors)
 
 
 def _make(data, parents, backward):
@@ -108,7 +141,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        return [(a, g), (b, g)]
+        return [(a, g), (b, g.copy())]
 
     return _make(out, (a, b), bw)
 
@@ -235,7 +268,10 @@ def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
     def bw(g):
-        return [(a, g * (1.0 - out * out))]
+        slope = out * out
+        np.subtract(1.0, slope, out=slope)
+        g *= slope
+        return [(a, g)]
 
     return _make(out, (a,), bw)
 
@@ -244,7 +280,8 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def bw(g):
-        return [(a, g * (a.data > 0.0))]
+        g *= a.data > 0.0
+        return [(a, g)]
 
     return _make(out, (a,), bw)
 
@@ -307,29 +344,40 @@ def bce_with_logits(logits: Tensor, targets, floor: float = 0.0) -> Tensor:
     return _make(out, (logits,), bw)
 
 
-def dropout(a: Tensor, rate: float, key: tuple[int, int] | None, layer_id: int) -> Tensor:
-    """Inverted dropout with a counter-based generator, keyed by (seed, step).
+def _keep_mask(shape, rate: float, key: tuple[int, int] | None, layer_id: int):
+    """Dropout's keep mask for (seed, layer_id, step), or None when nothing drops.
 
-    Without a key (evaluation) the op is the identity. The mask depends only on
-    (seed, layer_id, step), so replays are bit-identical regardless of
-    execution order or thread count.
+    Nothing drops without a key (evaluation) or at rate 0. The mask depends
+    only on (seed, layer_id, step), so replays are bit-identical regardless
+    of execution order or thread count.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
     if key is None or rate == 0.0:
-        return a
+        return None
     seed, step = key
     words = [seed & 0xFFFFFFFFFFFFFFFF, (layer_id & 0xFFFFFFFF) << 32 | (step & 0xFFFFFFFF)]
     rng = np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64)))
-    keep = rng.random(a.data.shape) >= rate     # one byte per cell
+    return rng.random(shape) >= rate        # one byte per cell
+
+
+def dropout(a: Tensor, rate: float, key: tuple[int, int] | None, layer_id: int) -> Tensor:
+    """Inverted dropout with a counter-based generator, keyed by (seed, step).
+
+    Without a key (evaluation) the op is the identity. The backward scales g
+    in place by the same factor and mask.
+    """
+    keep = _keep_mask(a.data.shape, rate, key, layer_id)
+    if keep is None:
+        return a
     factor = 1.0 / (1.0 - rate)
     out = a.data * factor
     out *= keep
 
     def bw(g):
-        grad = g * factor
-        grad *= keep
-        return [(a, grad)]
+        g *= factor
+        g *= keep
+        return [(a, g)]
 
     return _make(out, (a,), bw)
 
@@ -538,17 +586,34 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     return _make(out, (inp, filters), bw)
 
 
-def conv2d_relu(inp: Tensor, filters: Tensor) -> Tensor:
-    """relu(conv2d(inp, filters)), clamping the convolution's fresh output in place.
+def conv2d_relu(inp: Tensor, filters: Tensor, rate: float = 0.0,
+                key: tuple[int, int] | None = None, layer_id: int = 0) -> Tensor:
+    """dropout(relu(conv2d(inp, filters)), rate, key, layer_id), all in place on the
+    convolution's fresh output.
 
     conv2d's backward reads only the input windows and the filters, never its
-    output, so the map is written once. The backward is g * (out > 0) passed
-    on to conv2d's backward.
+    output, so the map is written once. When a graph is recorded the op keeps
+    one boolean mask, the cells still positive after dropout, and the
+    backward scales g in place by the dropout factor and that mask before
+    passing it on to conv2d's backward.
     """
     conv = conv2d(inp, filters)
     out = np.maximum(conv.data, 0.0, out=conv.data)
+    keep = _keep_mask(out.shape, rate, key, layer_id)
+    factor = 1.0
+    if keep is not None:
+        factor = 1.0 / (1.0 - rate)
+        out *= factor
+        out *= keep
+    if not _needs_grad(inp, filters):
+        return Tensor(out)
+    live = out > 0.0
+    conv_backward = conv._backward      # not conv itself, which would keep out alive
 
     def bw(g):
-        return conv._backward(g * (out > 0.0))
+        if factor != 1.0:       # scaling by 1.0 would change nothing
+            g *= factor
+        g *= live
+        return conv_backward(g)
 
     return _make(out, (inp, filters), bw)

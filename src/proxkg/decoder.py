@@ -103,8 +103,8 @@ def conve_score(h_embed: Tensor, r_embed: Tensor, entities_enc: Tensor, params: 
     x = ad.reshape(ad.concat([h_embed, r_embed], axis=1),
                    (B, 1, 2 * config.reshape_h, config.reshape_w))
     x = ad.dropout(x, config.dropout_input, dropout_key, _DROP_INPUT)
-    x = ad.conv2d_relu(x, params["conv_filters"])
-    x = ad.dropout(x, config.dropout_feature, dropout_key, _DROP_FEATURE)
+    x = ad.conv2d_relu(x, params["conv_filters"],       # feature dropout included
+                       config.dropout_feature, dropout_key, _DROP_FEATURE)
     x = ad.reshape(x, (B, config.flat_dim))     # a view: conv2d's output is C-ordered
     proj = ad.affine(x, params["fc_W"], params["fc_b"])
     proj = ad.dropout(proj, config.dropout_hidden, dropout_key, _DROP_HIDDEN)

@@ -160,6 +160,22 @@ def test_criterion_4_gradient_suite():
     # no conv output within 1e-3 of the relu's kink, where a difference step of 1e-5 could cross it
     assert np.abs(ad.conv2d(Tensor(conv_inp), Tensor(conv_f)).data).min() > 1e-3
     check_gradient(ad.conv2d_relu, [conv_inp, conv_f])
+    check_gradient(lambda i, f: ad.conv2d_relu(i, f, 0.3, (5, 2), 102), [conv_inp, conv_f])
+    # a backward overwrites the g it receives: gradients that alias must still add up
+    alias_rng = np.random.default_rng(36)          # leaves rng's draws below as they were
+    X = alias_rng.uniform(-1, 1, (3, 4))
+    X = np.where(np.abs(X) < 1e-3, 0.5, X)         # away from relu's kink
+    check_gradient(lambda x: ad.add(x, x), [X])
+    check_gradient(lambda x: ad.add(ad.tanh(x), ad.relu(x)), [X])  # one g, two in-place backwards
+    mix43 = Tensor(alias_rng.uniform(-1, 1, (4, 3)))
+
+    def two_views(x, view):
+        h = ad.tanh(x)      # its gradient: two views of its children's g, summed, scaled in place
+        return ad.add(ad.mul(view(h), mix43), view(ad.relu(h)))
+
+    for view in (ad.transpose, lambda t: ad.reshape(t, (4, 3))):
+        check_gradient(lambda x, view=view: two_views(x, view), [X])
+        check_gradient(lambda x, view=view: ad.add(ad.mul(view(x), mix43), view(ad.tanh(x))), [X])
     bce_rng = np.random.default_rng(33)            # leaves rng's draws below as they were
     logits = np.append(bce_rng.uniform(-3, 3, 6), [30.0, -30.0]).reshape(2, 4)
     bce_targets = sparse.csr_array(bce_rng.uniform(0, 1, (2, 4)))

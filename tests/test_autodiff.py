@@ -214,7 +214,7 @@ def test_edge_sum_constant_weights(rng):
     w = rng.uniform(-1, 1, 6)
     g = rng.uniform(-1, 1, (4, 3))
     const = ad.edge_sum(Tensor(w), EDGE_DST, [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
-    (_, x_grad), (_, w_grad) = const._backward(g)
+    (_, x_grad), (_, w_grad) = const._backward(g.copy())      # a backward owns the g it gets
     assert w_grad is None
     live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST,
                        [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
@@ -253,7 +253,7 @@ def test_segment_weighted_sum_constant_weights(rng):
     segs = np.array([2, 0, 2, 1, 0, 2])
     g = rng.uniform(-1, 1, (3, 3))
     const = ad.segment_weighted_sum(Tensor(values, requires_grad=True), Tensor(weights), segs, 3)
-    (_, v_grad), (_, w_grad) = const._backward(g)
+    (_, v_grad), (_, w_grad) = const._backward(g.copy())      # a backward owns the g it gets
     assert np.array_equal(v_grad, g[segs] * weights[:, None])
     assert w_grad is None
     live = ad.segment_weighted_sum(Tensor(values, requires_grad=True),
@@ -417,6 +417,25 @@ def test_conv2d_relu_matches_relu_of_conv2d_bit_for_bit(rng):
         assert np.array_equal(a.grad, b.grad)
 
 
+@pytest.mark.parametrize("rate, key",
+                         [(0.3, (5, 2)), (0.5, (2 ** 40, 9)), (0.0, (5, 2)), (0.3, None)])
+def test_conv2d_relu_dropout_matches_dropout_of_conv2d_relu_bit_for_bit(rng, rate, key):
+    """The feature dropout inside conv2d_relu draws the same mask and scales the same way."""
+    x, f = rng.normal(size=(3, 2, 6, 5)), rng.normal(size=(4, 2, 3, 3))
+    fused_inputs = [Tensor(x, requires_grad=True), Tensor(f, requires_grad=True)]
+    chained_inputs = [Tensor(x, requires_grad=True), Tensor(f, requires_grad=True)]
+    fused = ad.conv2d_relu(*fused_inputs, rate, key, 102)
+    chained = ad.dropout(ad.conv2d_relu(*chained_inputs), rate, key, 102)
+    assert fused.data.tobytes() == chained.data.tobytes()
+    weights = Tensor(rng.normal(size=fused.shape))
+    ad.tsum(ad.mul(fused, weights)).backward()
+    ad.tsum(ad.mul(chained, weights)).backward()
+    for a, b in zip(fused_inputs, chained_inputs):
+        assert a.grad.tobytes() == b.grad.tobytes()
+    with pytest.raises(ValueError):
+        ad.conv2d_relu(*fused_inputs, 1.0, key, 102)
+
+
 def test_affine_matches_add_of_matmul_bit_for_bit(rng):
     x, W, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
     out = ad.affine(*[Tensor(a, requires_grad=True) for a in (x, W, b)])
@@ -548,6 +567,22 @@ def test_backward_twice_raises(rng):
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
+
+
+def test_backward_through_a_released_graph_raises(rng):
+    """A second root over a graph that backward has released cannot reach the leaves."""
+    x = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+    h = ad.tanh(x)
+    first, second = ad.tsum(h), ad.mean(h)
+    first.backward()
+    assert h._backward is None and not h._parents
+    for root in (second, ad.tsum(h)):           # built before the release, and after it
+        with pytest.raises(RuntimeError):
+            root.backward()
+    leaf = Tensor(np.ones(()), requires_grad=True)      # a leaf root releases nothing
+    leaf.backward()
+    leaf.backward()
+    assert leaf.grad == 2.0
 
 
 def test_disconnected_leaf_zero_gradient(rng):

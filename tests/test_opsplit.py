@@ -1,4 +1,5 @@
-"""tools/opsplit.py times every autodiff op of a benchmark unit from outside and reports each one."""
+"""tools/opsplit.py times every autodiff op of a benchmark unit from outside and reports each one,
+and the traced memory peak of one more unit."""
 
 import json
 import subprocess
@@ -20,3 +21,5 @@ def test_opsplit_reports_the_edge_ops_of_a_train_dense_unit():
     assert report["edge_ops_ms"] == edge
     assert 0 < sum(t["fwd_ms"] + t["bwd_ms"] for t in ops.values()) < report["unit_ms"]
     assert "conv2d" not in ops          # counted once, under conv2d_relu
+    # a step holds at least the decoder's [256, 32, 18, 18] float64 feature map, 21 MB
+    assert 21 < report["peak_traced_mb"] < 1000

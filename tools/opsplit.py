@@ -14,8 +14,10 @@ in ``src/`` or ``perfbench/`` changes. An op called inside another op
 ``segment_weighted_sum``) counts once, under the outer op.
 
 The one line of output is JSON: ``unit_ms`` (the mean wall time of a unit),
-``ops`` (each op's ``fwd_ms`` and ``bwd_ms`` per unit, largest first) and
-``edge_ops_ms`` (the four edge-op numbers summed). ``--root`` measures
+``ops`` (each op's ``fwd_ms`` and ``bwd_ms`` per unit, largest first),
+``edge_ops_ms`` (the four edge-op numbers summed) and ``peak_traced_mb``, the
+``tracemalloc`` peak of one more unit run after the timed ones. That unit is
+not timed, so tracing does not touch the op times. ``--root`` measures
 another checkout's ``src/`` and ``perfbench/``, for before/after splits.
 """
 
@@ -29,6 +31,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -130,8 +133,18 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             run.unit()
             times.append(time.perf_counter() - t0)
+        report = split.report(args.units)
+        run.release()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run.unit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     print(json.dumps({"workload": w.name, "seed": args.seed, "units": args.units,
-                      "unit_ms": sum(times) * 1e3 / len(times), **split.report(args.units)}))
+                      "unit_ms": sum(times) * 1e3 / len(times), **report,
+                      "peak_traced_mb": peak / 2**20}))
     return 0
 
 
