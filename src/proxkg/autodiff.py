@@ -1,13 +1,25 @@
 """Minimal dense-tensor engine with reverse-mode gradient accumulation.
 
-Tensors wrap contiguous numpy arrays (float64 by default). Every
-differentiable op records a backward closure on the output tensor;
-``backward()`` on a scalar root walks the graph in reverse topological
-order and accumulates gradients into every ``requires_grad`` leaf. It
-releases the graph as it goes: each node drops its closure and its parents
-when the walk reaches it, so each forward array is freed as soon as the last
-backward that reads it is done. A graph is walked once: a later
-``backward()`` that reaches a released node raises ``RuntimeError``.
+Tensors wrap contiguous numpy arrays (float64 by default). A tensor holds its
+``data``, ``requires_grad`` and ``grad``; a differentiable op gives its output
+a graph node, which holds no array: the op's backward closure, its parents'
+nodes and a released flag. Each closure captures only the arrays its backward
+reads (``tanh`` its output, ``affine`` x and W, ``edge_sum`` the tables only
+when the weights need a gradient), so an intermediate that no backward reads
+is freed as soon as the forward drops it. A backward lets go of an array once
+it has read it: ``affine`` computes x^T g and drops x before it allocates
+g W^T, and ``conv2d`` drops its input columns before the column gradient.
+
+``backward()`` on a scalar root walks the nodes in reverse topological order
+and releases the graph as it goes: each node drops its closure and its parents
+when the walk reaches it, so what the closure captured is freed as soon as its
+backward is done. A graph is walked once: a later ``backward()`` that reaches a
+released node raises ``RuntimeError``. A leaf, a tensor that requires a
+gradient and is no op's output, gets a node on first use that refers to it
+weakly. Once every node that takes a leaf as a parent has been released,
+whether or not that node's backward ran, the walk adds the leaf's gradient to
+its ``grad`` and calls ``backward``'s optional callback with the leaf, so a
+caller can update each parameter as soon as its gradient is final.
 
 A backward owns the gradient ``g`` it receives and may overwrite it, so
 ``tanh``, ``relu``, ``dropout`` and ``conv2d_relu`` scale ``g`` in place and
@@ -29,24 +41,42 @@ sorts the train edges so once, and each step's edge-dropout view (its
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 from scipy import sparse
 
 DEFAULT_DTYPE = np.float64
 
 
+class _Node:
+    """A tensor's place in the graph; it holds no array.
+
+    ``backward`` maps the output's gradient to one gradient, or None, per
+    parent; ``parents`` holds each parent's node in that order, None for a
+    constant. A leaf's node has no backward, and ``leaf`` refers weakly to
+    its tensor. ``released`` is set once the walk has passed the node.
+    """
+
+    __slots__ = ("backward", "parents", "released", "leaf")
+
+    def __init__(self, backward=None, parents=(), leaf=None):
+        self.backward = backward
+        self.parents = parents
+        self.released = False
+        self.leaf = leaf
+
+
 class Tensor:
     """Dense n-d array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _node=None):
         self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
-        self._backward_done = False
+        self._node = _node
 
     @property
     def shape(self):
@@ -55,23 +85,66 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
-        """Accumulate gradients of this scalar into all reachable leaves, releasing the graph."""
+    # The node's closure and parents, as attributes of the tensor: perfbench/spans.py and
+    # tools/opsplit.py wrap an op's backward by assigning out._backward.
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, backward):
+        if self._node is None:
+            self._node = _Node()
+        self._node.backward = backward
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node.parents
+
+    @_parents.setter
+    def _parents(self, parents):
+        if self._node is None:
+            self._node = _Node()
+        self._node.parents = parents
+
+    def backward(self, on_leaf=None):
+        """Accumulate gradients of this scalar into all reachable leaves, releasing the graph.
+
+        ``on_leaf``, if given, is called with each leaf as soon as every node
+        that takes it as a parent has been released; its ``grad`` is final then.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar root, got shape {self.data.shape}")
-        topo = _topo_order(self)
-        grads = {id(self): np.ones_like(self.data)}
+        root = _graph_node(self)
+        if root is None:
+            return
+        if root.leaf is not None:
+            _finish_leaf(root, np.ones_like(self.data), on_leaf)
+            return
+        topo, uses = _topo_order(root)
+        grads = {id(root): np.ones_like(self.data)}
         while topo:
-            _run_last(topo, grads)
+            _run_last(topo, grads, uses, on_leaf)
 
 
-def _topo_order(root: Tensor) -> list:
-    """Every node reachable from root, each after all of its parents.
+def _graph_node(t: Tensor) -> _Node | None:
+    """t's node: its op's, or its leaf node, made on first use, if t requires a gradient.
+
+    None for a constant.
+    """
+    if t._node is None and t.requires_grad:
+        t._node = _Node(leaf=weakref.ref(t))
+    return t._node
+
+
+def _topo_order(root: _Node) -> tuple[list, dict]:
+    """Every op node reachable from root, each after all of its parents, and for each
+    leaf node reached the number of parent slots of those nodes that name it.
 
     Raises RuntimeError on a node an earlier backward has released, whose
     gradient could no longer reach the leaves.
     """
-    topo = []
+    topo, uses = [], {}
     visited = set()
     stack = [(root, False)]
     while stack:
@@ -81,53 +154,75 @@ def _topo_order(root: Tensor) -> list:
             continue
         if id(node) in visited:
             continue
-        if node._backward_done:
+        if node.released:
             raise RuntimeError("backward already ran through this tensor; rebuild the graph first")
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
+        for p in node.parents:
+            if p is None:
+                continue
+            if p.leaf is not None:
+                uses[id(p)] = uses.get(id(p), 0) + 1
+            elif id(p) not in visited:
                 stack.append((p, False))
-    return topo
+    return topo, uses
 
 
-def _run_last(topo: list, grads: dict) -> None:
-    """Pop the last node of topo, drop its closure and parents, and run its backward.
+def _run_last(topo: list, grads: dict, uses: dict, on_leaf) -> None:
+    """Pop the last node of topo, release it, run its backward and hand each parent its gradient.
 
-    A function of its own, so no reference to the node, its gradient or its
-    parents' gradients outlives the call. The node is let go before its
-    backward runs, so its output is freed then, unless that backward reads
-    it or a caller holds the tensor.
+    A function of its own, so no reference to the closure or the gradients
+    outlives the call. The node drops its closure and parents before the
+    backward runs, and the closure is let go as soon as it returns, so what
+    it captured is freed then. A leaf whose last consumer this node was is
+    finished: see ``_finish_leaf``.
     """
     node = topo.pop()
     g = grads.pop(id(node), None)
-    backward = node._backward
-    if backward is None:
-        if g is not None and node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-        return
-    node._backward, node._parents, node._backward_done = None, (), True
-    del node
-    if g is None:
-        return
-    for parent, pg in backward(g):
-        if pg is None:
+    backward, parents = node.backward, node.parents
+    node.backward, node.parents, node.released = None, (), True
+    parent_grads = [None] * len(parents) if g is None else backward(g)
+    del backward, g
+    for parent, pg in zip(parents, parent_grads, strict=True):
+        if parent is None:
             continue
         key = id(parent)
-        if key in grads:
-            grads[key] += pg
-        else:
-            grads[key] = pg
+        if pg is not None:
+            if key in grads:
+                grads[key] += pg
+            else:
+                grads[key] = pg
+        if parent.leaf is not None:
+            uses[key] -= 1
+            if not uses[key]:
+                del uses[key]
+                _finish_leaf(parent, grads.pop(key, None), on_leaf)
+
+
+def _finish_leaf(node: _Node, g, on_leaf) -> None:
+    """Add g, if any, to the leaf's ``grad`` and call ``on_leaf`` with the leaf.
+
+    A leaf its caller has dropped is skipped: nothing can read its gradient.
+    """
+    tensor = node.leaf()
+    if tensor is None:
+        return
+    if g is not None:
+        tensor.grad = g if tensor.grad is None else tensor.grad + g
+    if on_leaf is not None:
+        on_leaf(tensor)
 
 
 def _needs_grad(*tensors):
     """Whether an op on these records a node; on a released one it does, so backward raises."""
-    return any(t.requires_grad or t._parents or t._backward_done for t in tensors)
+    return any(t.requires_grad or t._node is not None for t in tensors)
 
 
 def _make(data, parents, backward):
-    if any(_needs_grad(p) for p in parents):
-        return Tensor(data, _parents=tuple(parents), _backward=backward)
+    """The op's output; it gets a node of ``backward`` over ``parents`` if one of them needs a
+    gradient. ``backward`` returns one gradient, or None, per parent, in order."""
+    if _needs_grad(*parents):
+        return Tensor(data, _node=_Node(backward, tuple(_graph_node(p) for p in parents)))
     return Tensor(data)
 
 
@@ -141,17 +236,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        return [(a, g), (b, g.copy())]
+        return [g, g.copy()]
 
     return _make(out, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    out = a.data * b.data
+    x, y = a.data, b.data
+    out = x * y
 
     def bw(g):
-        return [(a, g * b.data), (b, g * a.data)]
+        return [g * y, g * x]
 
     return _make(out, (a, b), bw)
 
@@ -160,7 +256,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = a.data * c
 
     def bw(g):
-        return [(a, g * c)]
+        return [g * c]
 
     return _make(out, (a,), bw)
 
@@ -174,7 +270,8 @@ def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ W + b, the bias added in place to the fresh product so the output is written once.
 
     b, if given, holds one value per column of W and is added to every row
-    of the product. The backward is g W^T, x^T g and the column sum of g.
+    of the product. The backward is x^T g, then, with x let go, g W^T and
+    the column sum of g.
     """
     if x.data.ndim != 2 or W.data.ndim != 2:
         raise ValueError("affine expects 2-d operands")
@@ -182,17 +279,19 @@ def affine(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         raise ValueError(f"affine inner dims differ: {x.data.shape} vs {W.data.shape}")
     if b is not None and b.data.shape != W.data.shape[1:]:
         raise ValueError(f"affine expects a bias of shape {W.data.shape[1:]}, got {b.data.shape}")
-    out = x.data @ W.data
-    if b is not None:
+    rows, weights, bias = x.data, W.data, b is not None
+    out = rows @ weights
+    if bias:
         out += b.data
 
     def bw(g):
-        grads = [(x, g @ W.data.T), (W, x.data.T @ g)]
-        if b is not None:
-            grads.append((b, g.sum(axis=0)))
-        return grads
+        nonlocal rows
+        g_weights = rows.T @ g
+        rows = None             # read: x is not alive beside g W^T
+        grads = [g @ weights.T, g_weights]
+        return grads + [g.sum(axis=0)] if bias else grads
 
-    return _make(out, (x, W) if b is None else (x, W, b), bw)
+    return _make(out, (x, W, b) if bias else (x, W), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -204,38 +303,39 @@ def transpose(a: Tensor) -> Tensor:
     out = a.data.T
 
     def bw(g):
-        return [(a, g.T)]
+        return [g.T]
 
     return _make(out, (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
+    in_shape = a.data.shape
 
     def bw(g):
-        return [(a, g.reshape(a.data.shape))]
+        return [g.reshape(in_shape)]
 
     return _make(out, (a,), bw)
 
 
 def concat(tensors, axis=0) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bw(g):
-        return list(zip(tensors, np.split(g, offsets[1:-1], axis=axis)))
+        return np.split(g, offsets, axis=axis)
 
     return _make(out, tuple(tensors), bw)
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
     out = a.data.sum(axis=axis)
+    in_shape = a.data.shape
 
     def bw(g):
         if axis is None:
-            return [(a, np.broadcast_to(g, a.data.shape).copy())]
-        return [(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())]
+            return [np.broadcast_to(g, in_shape).copy()]
+        return [np.broadcast_to(np.expand_dims(g, axis), in_shape).copy()]
 
     return _make(out, (a,), bw)
 
@@ -246,10 +346,11 @@ def mean(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
+    x = a.data
+    out = np.log(x)
 
     def bw(g):
-        return [(a, g / a.data)]
+        return [g / x]
 
     return _make(out, (a,), bw)
 
@@ -259,7 +360,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     inside = (a.data > lo) & (a.data < hi)
 
     def bw(g):
-        return [(a, g * inside)]
+        return [g * inside]
 
     return _make(out, (a,), bw)
 
@@ -271,17 +372,18 @@ def tanh(a: Tensor) -> Tensor:
         slope = out * out
         np.subtract(1.0, slope, out=slope)
         g *= slope
-        return [(a, g)]
+        return [g]
 
     return _make(out, (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0); the backward reads the output, which is positive exactly where a is."""
     out = np.maximum(a.data, 0.0)
 
     def bw(g):
-        g *= a.data > 0.0
-        return [(a, g)]
+        g *= out > 0.0
+        return [g]
 
     return _make(out, (a,), bw)
 
@@ -304,7 +406,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
 
     def bw(g):
-        return [(a, g * out * (1.0 - out))]
+        return [g * out * (1.0 - out)]
 
     return _make(out, (a,), bw)
 
@@ -333,15 +435,19 @@ def bce_with_logits(logits: Tensor, targets, floor: float = 0.0) -> Tensor:
     cells -= tmp
     cells[at] -= t.data * x[at]
     out = cells.mean()
+    answers = t.data
 
     def bw(g):
         grad = _sigmoid(x)
         grad -= floor
-        grad[at] -= t.data
+        grad[at] -= answers
         grad *= g / x.size
-        return [(logits, grad)]
+        return [grad]
 
     return _make(out, (logits,), bw)
+
+
+MASK_BLOCK = 2 ** 16     # uniform draws per block of a dropout mask: a 512 KiB scratch array
 
 
 def _keep_mask(shape, rate: float, key: tuple[int, int] | None, layer_id: int):
@@ -349,7 +455,9 @@ def _keep_mask(shape, rate: float, key: tuple[int, int] | None, layer_id: int):
 
     Nothing drops without a key (evaluation) or at rate 0. The mask depends
     only on (seed, layer_id, step), so replays are bit-identical regardless
-    of execution order or thread count.
+    of execution order or thread count. It is filled MASK_BLOCK cells at a
+    time from one Philox stream, so no float64 array the size of the mask
+    is made.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
@@ -358,7 +466,14 @@ def _keep_mask(shape, rate: float, key: tuple[int, int] | None, layer_id: int):
     seed, step = key
     words = [seed & 0xFFFFFFFFFFFFFFFF, (layer_id & 0xFFFFFFFF) << 32 | (step & 0xFFFFFFFF)]
     rng = np.random.Generator(np.random.Philox(key=np.array(words, dtype=np.uint64)))
-    return rng.random(shape) >= rate        # one byte per cell
+    keep = np.empty(shape, dtype=bool)      # one byte per cell
+    cells = keep.reshape(-1)
+    draws = np.empty(max(1, min(cells.size, MASK_BLOCK)))
+    for s in range(0, cells.size, len(draws)):
+        block = draws[:cells.size - s]
+        rng.random(out=block)               # the stream goes on where the last block stopped
+        np.greater_equal(block, rate, out=cells[s:s + len(block)])
+    return keep
 
 
 def dropout(a: Tensor, rate: float, key: tuple[int, int] | None, layer_id: int) -> Tensor:
@@ -377,7 +492,7 @@ def dropout(a: Tensor, rate: float, key: tuple[int, int] | None, layer_id: int) 
     def bw(g):
         g *= factor
         g *= keep
-        return [(a, g)]
+        return [g]
 
     return _make(out, (a,), bw)
 
@@ -418,7 +533,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def bw(g):
         A = _csr(np.ones(len(ids)), np.arange(len(ids)), ids, (len(ids), n))
-        return [(table, A.T @ g)]
+        return [A.T @ g]
 
     return _make(out, (table,), bw)
 
@@ -486,17 +601,16 @@ def edge_sum(weights: Tensor, dst, terms, n: int) -> Tensor:
     if weights.data.shape != dst.shape:
         raise ValueError("edge_sum expects one weight per edge")
     terms = _edge_terms(terms, len(dst), "edge_sum")
-    tables = [table for table, _ in terms]
+    tables = tuple(table for table, _ in terms)
     mats = [_csr(weights.data, dst, ids, (n, table.data.shape[0])) for table, ids in terms]
     out = _products_sum(mats, [table.data for table in tables])
+    rows = [(table.data, ids) for table, ids in terms] if _needs_grad(weights) else None
 
     def bw(g):
-        g_weights = None
-        if _needs_grad(weights):
-            g_weights = _row_dots(g, dst, [(table.data, ids) for table, ids in terms])
-        return [(table, A.T @ g) for A, table in zip(mats, tables)] + [(weights, g_weights)]
+        g_weights = None if rows is None else _row_dots(g, dst, rows)
+        return [A.T @ g for A in mats] + [g_weights]
 
-    return _make(out, tuple(tables) + (weights,), bw)
+    return _make(out, tables + (weights,), bw)
 
 
 def edge_dot(a: Tensor, ia, terms) -> Tensor:
@@ -510,15 +624,15 @@ def edge_dot(a: Tensor, ia, terms) -> Tensor:
         raise ValueError("edge_dot expects a 2-d anchor table")
     ia = _row_ids(ia, a.data.shape[0])
     terms = _edge_terms(terms, len(ia), "edge_dot", a.data.shape[1])
-    tables = [table for table, _ in terms]
-    out = _row_dots(a.data, ia, [(table.data, ids) for table, ids in terms])
+    anchors, rows = a.data, [(table.data, ids) for table, ids in terms]
+    out = _row_dots(anchors, ia, rows)
 
     def bw(g):
-        mats = [_csr(g, ia, ids, (a.data.shape[0], table.data.shape[0])) for table, ids in terms]
-        g_a = _products_sum(mats, [table.data for table in tables])
-        return [(a, g_a)] + [(table, S.T @ a.data) for S, table in zip(mats, tables)]
+        mats = [_csr(g, ia, ids, (len(anchors), len(table))) for table, ids in rows]
+        g_a = _products_sum(mats, [table for table, _ in rows])
+        return [g_a] + [S.T @ anchors for S in mats]
 
-    return _make(out, (a,) + tuple(tables), bw)
+    return _make(out, (a,) + tuple(table for table, _ in terms), bw)
 
 
 def segment_weighted_sum(values: Tensor, weights: Tensor, segments, num_segments: int) -> Tensor:
@@ -543,7 +657,7 @@ def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
 
     def bw(g):
         dot = np.bincount(segments, weights=g * out, minlength=num_segments)
-        return [(scores, out * (g - dot[segments]))]
+        return [out * (g - dot[segments])]
 
     return _make(out, (scores,), bw)
 
@@ -556,14 +670,14 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     [B, C_in*k*k, oh*ow] columns of the window view, so the output is
     C-contiguous and flattens per row without a copy. The backward mirrors
     it with two GEMMs: the filter gradient is g [B, C_out, oh*ow] contracted
-    with those columns over the batch and the positions, and the column
-    gradient filters^T @ g is added back onto the k x k input cells each
-    window covers (the adjoint of the window map).
+    with those columns over the batch and the positions, and then, with the
+    columns let go, the column gradient filters^T @ g is added back onto the
+    k x k input cells each window covers (the adjoint of the window map).
     """
     if inp.data.ndim != 4 or filters.data.ndim != 4:
         raise ValueError("conv2d expects 4-d input and filters")
     B, C_in, H, W = inp.data.shape
-    C_out, C_in_f, kh, kw = filters.data.shape
+    f_shape = C_out, C_in_f, kh, kw = filters.data.shape
     if C_in != C_in_f:
         raise ValueError(f"channel mismatch: input {C_in}, filters {C_in_f}")
     if kh > H or kw > W:
@@ -575,13 +689,15 @@ def conv2d(inp: Tensor, filters: Tensor) -> Tensor:
     out = np.matmul(flat_filters, cols).reshape(B, C_out, oh, ow)
 
     def bw(g):
+        nonlocal cols
         g = g.reshape(B, C_out, oh * ow)
-        g_filters = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(filters.data.shape)
+        g_filters = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(f_shape)
+        cols = None             # read: the columns are not alive beside their gradient
         g_cols = np.matmul(flat_filters.T, g).reshape(B, C_in, kh, kw, oh, ow)
-        g_inp = np.zeros_like(inp.data)
+        g_inp = np.zeros((B, C_in, H, W))
         for i, j in np.ndindex(kh, kw):
             g_inp[:, :, i:i + oh, j:j + ow] += g_cols[:, :, i, j]
-        return [(inp, g_inp), (filters, g_filters)]
+        return [g_inp, g_filters]
 
     return _make(out, (inp, filters), bw)
 

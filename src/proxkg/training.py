@@ -140,6 +140,9 @@ def build_batches(queries: np.ndarray, answers: sparse.csr_array, n_entities: in
         yield QueryBatch(queries[idx], answers[idx] * (1.0 - eps), eps / n_entities)
 
 
+UPDATE_BLOCK = 2 ** 16     # parameter cells per Adam block: two 512 KiB scratch arrays
+
+
 class SGD:
     kind = "sgd"
 
@@ -149,10 +152,16 @@ class SGD:
         self.t = 0
 
     def step(self):
+        """Advance t, then update every parameter that has a gradient."""
         self.t += 1
         for p in self.params.values():
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
+            self.update(p)
+
+    def update(self, p: Tensor):
+        """p -= lr g, then p's gradient is dropped; a parameter without one is left alone."""
+        if p.grad is not None:
+            p.data -= self.lr * p.grad
+            p.grad = None
 
     def state_blobs(self):
         return {}
@@ -171,34 +180,49 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self._names = {id(p): k for k, p in params.items()}
+        self._scratch = np.empty((2, UPDATE_BLOCK))
 
     def step(self):
-        """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p -= lr m_hat / (sqrt(v_hat) + eps).
-
-        Updated in place with two scratch arrays per parameter, in the formula's
-        order of float operations, so the result equals the formula's bit for bit.
-        """
+        """Advance t, then update every parameter that has a gradient."""
         self.t += 1
+        for p in self.params.values():
+            self.update(p)
+
+    def update(self, p: Tensor):
+        """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p -= lr m_hat / (sqrt(v_hat) + eps)
+        at step t, then p's gradient is dropped; a parameter without one is left alone.
+
+        Updated in place UPDATE_BLOCK cells at a time, with two block-sized
+        scratch arrays, in the formula's order of float operations, so the
+        result equals the formula's bit for bit.
+        """
+        if p.grad is None:
+            return
+        name = self._names[id(p)]
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g, m, v = p.grad, self.m[name], self.v[name]
-            tmp = np.multiply(g, 1 - b1)
-            m *= b1
-            m += tmp
-            np.multiply(g, 1 - b2, out=tmp)
-            tmp *= g
-            v *= b2
-            v += tmp
-            np.divide(v, c2, out=tmp)
+        g = p.grad.reshape(-1)
+        theta, m, v = (_cells(a) for a in (p.data, self.m[name], self.v[name]))
+        for s in range(0, g.size, UPDATE_BLOCK):
+            cells = slice(s, s + UPDATE_BLOCK)
+            gb, mb, vb = g[cells], m[cells], v[cells]
+            tmp, update = self._scratch[:, :len(gb)]
+            np.multiply(gb, 1 - b1, out=tmp)
+            mb *= b1
+            mb += tmp
+            np.multiply(gb, 1 - b2, out=tmp)
+            tmp *= gb
+            vb *= b2
+            vb += tmp
+            np.divide(vb, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
             tmp += self.eps
-            update = np.divide(m, c1)
+            np.divide(mb, c1, out=update)
             update *= self.lr
             update /= tmp
-            p.data -= update
+            theta[cells] -= update
+        p.grad = None
 
     def state_blobs(self):
         return {f"opt.{k}.{name}": getattr(self, k)[name] for name in self.params for k in "mv"}
@@ -208,6 +232,13 @@ class Adam:
         for name in self.params:
             self.m[name] = blobs[f"opt.m.{name}"]
             self.v[name] = blobs[f"opt.v.{name}"]
+
+
+def _cells(a: np.ndarray) -> np.ndarray:
+    """a as a 1-d view, so that writes to a block of it land in a."""
+    if not a.flags.c_contiguous:
+        raise ContractError(f"optimizer state must be C-contiguous, got an array of shape {a.shape}")
+    return a.reshape(-1)
 
 
 def config_digest(encoder_config, decoder_config, train_config) -> str:
@@ -314,8 +345,11 @@ class Trainer:
         self.global_step = 0
         self.best_valid_mrr = None
 
-    def step(self, batch: QueryBatch) -> float:
-        """One optimization step; returns the batch loss."""
+    def loss(self, batch: QueryBatch) -> Tensor:
+        """The batch loss with its graph, on a fresh edge-dropout view of the train edges.
+
+        No forward array outlives the call but those the graph's backwards read.
+        """
         cfg = self.train_config
         adj = self.adj.kept(sample_edge_dropout(self.kg, int(self.rng.integers(2 ** 62)),
                                                 cfg.edge_drop_rate))
@@ -324,14 +358,20 @@ class Trainer:
         r = ad.gather_rows(R_enc, batch.queries[:, 1])
         output = conve_score(h, r, E_enc, self.params, self.decoder_config,
                              dropout_key=(cfg.seed, self.global_step))
-        loss = bce_loss(output, batch.targets, batch.floor)
+        return bce_loss(output, batch.targets, batch.floor)
+
+    def step(self, batch: QueryBatch) -> float:
+        """One optimization step; returns the batch loss.
+
+        Each parameter is updated, and its gradient dropped, inside the
+        backward walk, as soon as its gradient is final.
+        """
+        loss = self.loss(batch)
         value = float(loss.data)
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at step {self.global_step}")
-        for p in self.params.values():
-            p.grad = None
-        loss.backward()
-        self.optimizer.step()
+        self.optimizer.t += 1
+        loss.backward(self.optimizer.update)
         self.global_step += 1
         return value
 

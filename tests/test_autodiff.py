@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_scatter_rows_matches_add_at(rng, n, ids, trailing):
     want = np.zeros((n,) + trailing)
     np.add.at(want, ids, rows)
     out = ad.gather_rows(Tensor(np.zeros((n,) + trailing), requires_grad=True), ids)
-    [(_, got)] = out._backward(rows)
+    [got] = out._backward(rows)
     assert got.dtype == np.float64
     assert np.array_equal(got, want)
 
@@ -202,7 +203,7 @@ def test_edge_sum_duplicate_pairs(rng):
     live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST,
                        [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
     assert np.allclose(live.data, want, rtol=1e-14, atol=1e-15)
-    (_, x_grad), (_, w_grad) = live._backward(g)
+    x_grad, w_grad = live._backward(g)
     assert np.allclose(x_grad, want_x, rtol=1e-14, atol=1e-15)
     # CSR sums the three (2, 3) entries, but each edge keeps its own weight gradient
     assert w_grad.shape == (6,)
@@ -214,11 +215,11 @@ def test_edge_sum_constant_weights(rng):
     w = rng.uniform(-1, 1, 6)
     g = rng.uniform(-1, 1, (4, 3))
     const = ad.edge_sum(Tensor(w), EDGE_DST, [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
-    (_, x_grad), (_, w_grad) = const._backward(g.copy())      # a backward owns the g it gets
+    x_grad, w_grad = const._backward(g.copy())      # a backward owns the g it gets
     assert w_grad is None
     live = ad.edge_sum(Tensor(w, requires_grad=True), EDGE_DST,
                        [(Tensor(x, requires_grad=True), EDGE_SRC)], 4)
-    assert np.array_equal(x_grad, live._backward(g)[0][1])
+    assert np.array_equal(x_grad, live._backward(g)[0])
 
 
 def test_edge_sum_gradient(rng):
@@ -253,12 +254,12 @@ def test_segment_weighted_sum_constant_weights(rng):
     segs = np.array([2, 0, 2, 1, 0, 2])
     g = rng.uniform(-1, 1, (3, 3))
     const = ad.segment_weighted_sum(Tensor(values, requires_grad=True), Tensor(weights), segs, 3)
-    (_, v_grad), (_, w_grad) = const._backward(g.copy())      # a backward owns the g it gets
+    v_grad, w_grad = const._backward(g.copy())      # a backward owns the g it gets
     assert np.array_equal(v_grad, g[segs] * weights[:, None])
     assert w_grad is None
     live = ad.segment_weighted_sum(Tensor(values, requires_grad=True),
                                    Tensor(weights, requires_grad=True), segs, 3)
-    (_, v_grad_live), (_, w_grad_live) = live._backward(g)
+    v_grad_live, w_grad_live = live._backward(g)
     assert np.array_equal(v_grad, v_grad_live)
     assert np.allclose(w_grad_live, (g[segs] * values).sum(axis=1), rtol=1e-15, atol=1e-15)
 
@@ -371,7 +372,7 @@ def test_conv2d_matches_pad_and_flip_reference(rng, x_shape, f_shape):
     x, f = rng.normal(size=x_shape), rng.normal(size=f_shape)
     out = ad.conv2d(Tensor(x, requires_grad=True), Tensor(f, requires_grad=True))
     g = rng.normal(size=out.shape)
-    (_, g_inp), (_, g_filters) = out._backward(g)
+    g_inp, g_filters = out._backward(g)
     ref_out, ref_inp, ref_filters = conv2d_reference(x, f, g)
     if x_shape[1] == 1:       # one input channel: the GEMM sums the k*k taps in einsum's order
         assert np.array_equal(out.data, ref_out)
@@ -441,9 +442,43 @@ def test_affine_matches_add_of_matmul_bit_for_bit(rng):
     out = ad.affine(*[Tensor(a, requires_grad=True) for a in (x, W, b)])
     assert np.array_equal(out.data, x @ W + b)
     g = rng.normal(size=out.shape)
-    grads = [grad for _, grad in out._backward(g)]
+    grads = out._backward(g)
     for got, want in zip(grads, (g @ W.T, x.T @ g, g.sum(axis=0)), strict=True):
         assert np.array_equal(got, want)
+
+
+def test_affine_backward_lets_x_go_before_it_allocates_g_w_transposed(rng):
+    """x^T g is computed first and x dropped, so x and g W^T are never alive together."""
+    W = Tensor(rng.normal(size=(2000, 8)), requires_grad=True)
+    g = rng.normal(size=(64, 8))
+    tracemalloc.start()
+    try:
+        x = Tensor(rng.normal(size=(64, 2000)), requires_grad=True)
+        out = ad.affine(x, W)
+        del x                   # the closure holds the only reference
+        tracemalloc.reset_peak()
+        out._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    x_bytes = g_w_bytes = 64 * 2000 * 8
+    assert peak < x_bytes + 2000 * 8 * 8 + g_w_bytes
+
+
+def test_arrays_no_backward_reads_are_freed_in_the_forward(rng):
+    """With a graph recorded, a matmul product under tanh and a tensor used only as an add
+    operand are freed as soon as the caller drops them, before backward runs."""
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    W = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    product, operand = ad.matmul(x, W), ad.scale(x, 2.0)
+    out = ad.add(ad.tanh(product), operand)
+    refs = [weakref.ref(product.data), weakref.ref(operand.data)]
+    del product, operand
+    assert all(ref() is None for ref in refs)
+    ad.tsum(out).backward()
+    slope = 1.0 - np.tanh(x.data @ W.data) ** 2
+    assert np.allclose(x.grad, slope @ W.data.T + 2.0, rtol=1e-14, atol=1e-14)
+    assert np.allclose(W.grad, x.data.T @ slope, rtol=1e-14, atol=1e-14)
 
 
 def test_affine_shape_errors():
@@ -549,6 +584,15 @@ def test_dropout_mask_is_the_keyed_philox_draw(seed, layer_id, step):
     assert np.array_equal(got, (rng.random((6, 7)) >= 0.3) * (1.0 / 0.7))
 
 
+def test_dropout_mask_blocks_continue_one_philox_stream():
+    """Drawn MASK_BLOCK cells at a time, the mask equals one draw over the whole shape."""
+    shape = (3, ad.MASK_BLOCK + 7)      # a size that is not a multiple of the block
+    keep = ad._keep_mask(shape, 0.3, (9, 4), 101)
+    rng = np.random.Generator(np.random.Philox(key=[9, 101 << 32 | 4]))
+    assert keep.dtype == bool
+    assert np.array_equal(keep, rng.random(shape) >= 0.3)
+
+
 def test_backward_sum_gives_ones(rng):
     x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     ad.tsum(x).backward()
@@ -585,6 +629,35 @@ def test_backward_through_a_released_graph_raises(rng):
     assert leaf.grad == 2.0
 
 
+def test_backward_calls_on_leaf_as_soon_as_its_consumers_are_released(rng):
+    """on_leaf gets each leaf once, when every node that takes it as a parent has been
+    released and its gradient is final; a leaf that no gradient reaches is passed too."""
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    W = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    cut = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    product = ad.matmul(x, W)
+    scaled = ad.scale(x, 2.0)
+    later = ad.tanh(scaled)         # add's second operand: walked after product
+    blocked = ad._make(cut.data.copy(), (cut,), lambda g: [None])     # passes no gradient on
+    loss = ad.tsum(ad.add(ad.add(product, later), blocked))
+    nodes = {"product": product._node, "scaled": scaled._node, "later": later._node,
+             "blocked": blocked._node}
+    seen = []
+    loss.backward(lambda leaf: seen.append(
+        (leaf, None if leaf.grad is None else leaf.grad.copy(),
+         {name for name, node in nodes.items() if node.released})))
+    assert [leaf for leaf, _, _ in seen] == [W, x, cut]
+    (_, g_W, released_W), (_, g_x, released_x), (_, g_cut, released_cut) = seen
+    assert released_W == {"product"}
+    assert released_x == {"product", "scaled", "later"}
+    assert released_cut == set(nodes) and g_cut is None and cut.grad is None
+    assert np.array_equal(g_W, W.grad) and np.array_equal(g_x, x.grad)
+    ones = np.ones((4, 3))
+    assert np.allclose(g_W, x.data.T @ ones, rtol=1e-14, atol=1e-14)
+    slope = 1.0 - np.tanh(2.0 * x.data) ** 2
+    assert np.allclose(g_x, ones @ W.data.T + 2.0 * slope, rtol=1e-14, atol=1e-14)
+
+
 def test_disconnected_leaf_zero_gradient(rng):
     x = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
     y = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
@@ -617,8 +690,8 @@ def test_concat_gradients_are_views_of_g(rng):
     b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     out = ad.concat([a, b], axis=1)
     g = rng.normal(size=out.shape)
-    (ta, ga), (tb, gb) = out._backward(g)
-    assert ta is a and tb is b
+    ga, gb = out._backward(g)
+    assert out._parents == (a._node, b._node)
     assert np.shares_memory(ga, g) and np.shares_memory(gb, g)
     assert np.array_equal(ga, g[:, :2]) and np.array_equal(gb, g[:, 2:])
 

@@ -59,7 +59,7 @@ def ref_gather_dot(table, ids, other):
     def bw(g):
         g_table = np.zeros(table.data.shape)
         np.add.at(g_table, ids, g[:, None] * other.data)
-        return [(table, g_table), (other, g[:, None] * rows)]
+        return [g_table, g[:, None] * rows]
 
     return ad._make(np.einsum("ij,ij->i", rows, other.data), (table, other), bw)
 
@@ -70,8 +70,7 @@ def ref_segment_weighted_sum(values, weights, segments, n):
 
     def bw(g):
         g_rows = g[segments]
-        return [(values, g_rows * weights.data[:, None]),
-                (weights, np.einsum("ij,ij->i", g_rows, values.data))]
+        return [g_rows * weights.data[:, None], np.einsum("ij,ij->i", g_rows, values.data)]
 
     out = np.zeros((n,) + values.data.shape[1:])
     np.add.at(out, segments, values.data * weights.data[:, None])

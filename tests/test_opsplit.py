@@ -1,5 +1,5 @@
 """tools/opsplit.py times every autodiff op of a benchmark unit from outside and reports each one,
-and the traced memory peak of one more unit."""
+the kernel time and minor faults per unit, and the traced memory peak of one more unit."""
 
 import json
 import subprocess
@@ -20,6 +20,9 @@ def test_opsplit_reports_the_edge_ops_of_a_train_dense_unit():
     edge = sum(ops[op]["fwd_ms"] + ops[op]["bwd_ms"] for op in ("edge_sum", "edge_dot"))
     assert report["edge_ops_ms"] == edge
     assert 0 < sum(t["fwd_ms"] + t["bwd_ms"] for t in ops.values()) < report["unit_ms"]
+    # kernel time and minor faults per unit, from getrusage: one thread, so at most the wall time
+    assert 0 <= report["sys_ms"] < report["unit_ms"]
+    assert report["minflt"] >= 0
     assert "conv2d" not in ops          # counted once, under conv2d_relu
     # a step holds at least the decoder's [256, 32, 18, 18] float64 feature map, 21 MB
     assert 21 < report["peak_traced_mb"] < 1000

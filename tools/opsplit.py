@@ -14,11 +14,14 @@ in ``src/`` or ``perfbench/`` changes. An op called inside another op
 ``segment_weighted_sum``) counts once, under the outer op.
 
 The one line of output is JSON: ``unit_ms`` (the mean wall time of a unit),
-``ops`` (each op's ``fwd_ms`` and ``bwd_ms`` per unit, largest first),
-``edge_ops_ms`` (the four edge-op numbers summed) and ``peak_traced_mb``, the
-``tracemalloc`` peak of one more unit run after the timed ones. That unit is
-not timed, so tracing does not touch the op times. ``--root`` measures
-another checkout's ``src/`` and ``perfbench/``, for before/after splits.
+``sys_ms`` and ``minflt`` (the kernel time and minor page faults per unit, from
+``getrusage`` of this process over the timed units: what the kernel spends
+handing the step fresh memory), ``ops`` (each op's ``fwd_ms`` and ``bwd_ms``
+per unit, largest first), ``edge_ops_ms`` (the four edge-op numbers summed)
+and ``peak_traced_mb``, the ``tracemalloc`` peak of one more unit run after
+the timed ones. That unit is not timed, so tracing does not touch the op
+times. ``--root`` measures another checkout's ``src/`` and ``perfbench/``, for
+before/after splits.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import gc
 import importlib.util
 import inspect
 import json
+import resource
 import sys
 import tempfile
 import time
@@ -127,12 +131,14 @@ def main(argv=None) -> int:
         run = workloads.Run(w, raw, scratch)          # set-up, warm-up included, unwrapped
         split.install(autodiff)
         times = []
+        before = resource.getrusage(resource.RUSAGE_SELF)
         for _ in range(args.units):
             run.release()
             gc.collect()
             t0 = time.perf_counter()
             run.unit()
             times.append(time.perf_counter() - t0)
+        after = resource.getrusage(resource.RUSAGE_SELF)
         report = split.report(args.units)
         run.release()
         gc.collect()
@@ -143,7 +149,9 @@ def main(argv=None) -> int:
         finally:
             tracemalloc.stop()
     print(json.dumps({"workload": w.name, "seed": args.seed, "units": args.units,
-                      "unit_ms": sum(times) * 1e3 / len(times), **report,
+                      "unit_ms": sum(times) * 1e3 / len(times),
+                      "sys_ms": (after.ru_stime - before.ru_stime) * 1e3 / args.units,
+                      "minflt": (after.ru_minflt - before.ru_minflt) / args.units, **report,
                       "peak_traced_mb": peak / 2**20}))
     return 0
 
